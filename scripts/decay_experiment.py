@@ -39,7 +39,6 @@ def main() -> int:
     parser.add_argument("--xmax", type=int, default=10**6)
     parser.add_argument("--interval", default="middle")
     parser.add_argument("--M", type=int, default=50)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     curve = NAMED_CURVES[args.label]
@@ -51,7 +50,7 @@ def main() -> int:
         print(f"loaded {args.cache}: {len(series)} points to {series.x_max}")
     else:
         t0 = time.time()
-        series = build_angle_series(curve, args.xmax, threads=args.threads)
+        series = build_angle_series(curve, args.xmax)
         print(f"built {args.label} to {args.xmax}: {len(series)} points in {time.time() - t0:.1f}s")
         if args.cache:
             save_cache(series, args.cache)

@@ -3,7 +3,8 @@
 Library layout:
 
 - ``primes``      segmented sieve, prime streams, exact pi(x)
-- ``curves``      Weierstrass models, a_p by enumeration / Legendre sums / BSGS
+- ``curves``      Weierstrass models, a_p by enumeration / Legendre sums / BSGS,
+                  and the lockstep numpy BSGS engine ``ec_ap_array``
 - ``angles``      angle series construction, coefficient files, binary caches
 - ``measure``     Sato-Tate measure, Chebyshev-U evaluation, CDF/quantile
 - ``discrepancy`` interval counts, exact and bounded discrepancies, least primes
@@ -12,7 +13,6 @@ Library layout:
 """
 
 from satotate.angles import (
-    AnglePoint,
     AngleSeries,
     FormMeta,
     angle_from_ap,
@@ -24,6 +24,7 @@ from satotate.angles import (
 from satotate.curves import (
     CurveSpec,
     ec_ap,
+    ec_ap_array,
     ec_ap_bsgs,
     ec_count_points_enum,
     ec_count_points_naive,
@@ -68,7 +69,6 @@ from satotate.prime_sums import (
 from satotate.primes import PrimeRange, prime_count, primes_array, primes_in
 
 __all__ = [
-    "AnglePoint",
     "AngleSeries",
     "CurveSpec",
     "DiscrepancyReport",
@@ -88,6 +88,7 @@ __all__ = [
     "count_in_interval",
     "discrepancy_report",
     "ec_ap",
+    "ec_ap_array",
     "ec_ap_bsgs",
     "ec_count_points_enum",
     "ec_count_points_naive",

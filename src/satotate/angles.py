@@ -11,14 +11,13 @@ import math
 import os
 import struct
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from satotate.curves import NAIVE_BSGS_CROSSOVER, CurveSpec, ec_ap_bsgs, ec_ap_naive
+from satotate.curves import CurveSpec, ec_ap_array
 from satotate.errors import DeligneViolation, FormatError, MissingPrime
 from satotate.primes import primes_array
 
@@ -48,12 +47,6 @@ class FormMeta:
             raise ValueError("source must be 'curve' or 'file'")
 
 
-@dataclass(frozen=True)
-class AnglePoint:
-    p: int
-    theta: float
-
-
 @dataclass(eq=False)
 class AngleSeries:
     """Sorted (p, theta_p) data for one form up to x_max."""
@@ -70,15 +63,13 @@ class AngleSeries:
             raise ValueError("primes and thetas must have equal length")
         if self.primes.size and np.any(np.diff(self.primes) <= 0):
             raise ValueError("primes must be strictly increasing")
+        if not np.isfinite(self.thetas).all():
+            raise ValueError("angles must be finite")
         if self.thetas.size and (self.thetas.min() < 0.0 or self.thetas.max() > math.pi):
             raise ValueError("angles must lie in [0, pi]")
 
     def __len__(self) -> int:
         return int(self.primes.size)
-
-    @property
-    def points(self) -> list[AnglePoint]:
-        return [AnglePoint(int(p), float(t)) for p, t in zip(self.primes, self.thetas)]
 
     def upto(self, x: int) -> tuple[np.ndarray, np.ndarray]:
         """(primes, thetas) restricted to p <= x."""
@@ -110,30 +101,19 @@ def angle_from_ap(ap: float, p: int, k: int) -> float:
     return math.acos(min(1.0, max(-1.0, ap / bound)))
 
 
-def _curve_ap_chunk(curve: CurveSpec, chunk: Sequence[int]) -> list[float]:
-    out = []
-    for p in chunk:
-        if p <= NAIVE_BSGS_CROSSOVER:
-            out.append(float(ec_ap_naive(curve, p)))
-        else:
-            out.append(float(ec_ap_bsgs(curve, p)))
-    return out
-
-
 def build_angle_series(
     source: "CurveSpec | str | Path",
     x_max: int,
-    threads: int = 1,
     label: str | None = None,
     cm_asserted_false: bool = True,
 ) -> AngleSeries:
     """Complete angle series for all good primes <= x_max.
 
     ``source`` is either a CurveSpec (a_p by point counting; weight 2) or the
-    path of a coefficient file.  Curve work is split into prime chunks that
-    may be processed by a thread pool; results are merged in prime order, so
-    the output is a pure function of (source, x_max).  Non-CM is the caller's
-    assertion; pass cm_asserted_false=False to record that it was not made.
+    path of a coefficient file.  Curve a_p come from one ec_ap_array call
+    and are exact, so the output is a pure function of (source, x_max).
+    Non-CM is the caller's assertion; pass cm_asserted_false=False to record
+    that it was not made.
     """
     if x_max < 2:
         raise ValueError("x_max must be >= 2")
@@ -144,19 +124,10 @@ def build_angle_series(
     meta = FormMeta(label or curve.label, 2, curve.conductor, "curve", cm_asserted_false)
     ps = primes_array(2, x_max)
     good = ps[curve.conductor % ps != 0]
-    good_list = [int(p) for p in good]
-
-    threads = max(1, threads)
-    if threads == 1 or len(good_list) < 64:
-        aps = _curve_ap_chunk(curve, good_list)
-    else:
-        chunk_size = max(32, len(good_list) // (threads * 8))
-        chunks = [good_list[i : i + chunk_size] for i in range(0, len(good_list), chunk_size)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda c: _curve_ap_chunk(curve, c), chunks))
-        aps = [a for part in parts for a in part]
-
-    thetas = np.array([angle_from_ap(a, p, 2) for a, p in zip(aps, good_list)])
+    aps = ec_ap_array(curve, good)
+    thetas = np.fromiter(
+        (angle_from_ap(float(a), int(p), 2) for a, p in zip(aps, good)), dtype=np.float64, count=good.size
+    )
     return AngleSeries(meta, x_max, good, thetas)
 
 
@@ -214,6 +185,8 @@ def read_coeff_file(path: Path) -> tuple[FormMeta, list[tuple[int, float]], bool
             ap = float(parts[1]) if normalized else float(int(parts[1]))
         except ValueError as exc:
             raise FormatError(f"{path}:{i + 1}: bad entry {line!r}") from exc
+        if not math.isfinite(ap):
+            raise FormatError(f"{path}:{i + 1}: a_p must be finite, got {line!r}")
         if p <= last_p:
             raise FormatError(f"{path}:{i + 1}: primes must be strictly ascending")
         last_p = p
@@ -311,12 +284,15 @@ def load_cache(path: "str | Path", label: str = "") -> AngleSeries:
         )
     records = np.frombuffer(body, dtype=_RECORD_DTYPE)
     meta = FormMeta(label or path.stem, int(weight), int(level), "file")
-    return AngleSeries(
-        meta,
-        int(x_max),
-        records["p"].astype(np.int64),
-        records["theta"].astype(np.float64),
-    )
+    try:
+        return AngleSeries(
+            meta,
+            int(x_max),
+            records["p"].astype(np.int64),
+            records["theta"].astype(np.float64),
+        )
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad records: {exc}") from exc
 
 
 # -- CM screening --------------------------------------------------------------

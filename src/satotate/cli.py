@@ -1,7 +1,7 @@
 """Command-line front end: build caches, run verification campaigns, emit CSV/JSON.
 
 Exit codes: 0 success, 2 usage/domain error, 3 I/O error.
-SATOTATE_THREADS overrides --threads.  Output files never contain
+SATOTATE_THREADS overrides verify's --threads.  Output files never contain
 timestamps, so a command's output is byte-identical across runs and
 thread counts.
 """
@@ -130,13 +130,12 @@ def load_series_arg(path: str) -> AngleSeries:
 
 
 def cmd_angles(args) -> int:
-    threads = resolve_threads(args)
     if args.curve is not None and args.coeffs is not None:
         raise UsageError("give exactly one of --curve / --coeffs")
     t0 = time.time()
     if args.curve is not None:
         curve = parse_curve(args.curve, args.conductor, args.label or "curve")
-        series = build_angle_series(curve, args.xmax, threads=threads, label=args.label or curve.label)
+        series = build_angle_series(curve, args.xmax, label=args.label or curve.label)
     elif args.coeffs is not None:
         series = build_angle_series(args.coeffs, args.xmax)
     else:
@@ -264,7 +263,12 @@ def cmd_fit(args) -> int:
             parts = line.split(",")
             if header is None:
                 header = parts
+                for col in (args.x_col, args.err_col):
+                    if col not in header:
+                        raise UsageError(f"{args.csv}: no column {col!r} in header {','.join(header)}")
                 continue
+            if len(parts) != len(header):
+                raise UsageError(f"{args.csv}: row {line!r} does not match header {','.join(header)}")
             row = dict(zip(header, parts))
             xs.append(float(row[args.x_col]))
             errors.append(float(row[args.err_col]))
@@ -295,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label", default=None)
     p.add_argument("--xmax", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_angles)
 
     p = sub.add_parser("simulate", help="write a synthetic cache with i.i.d. Sato-Tate angles")

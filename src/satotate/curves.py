@@ -62,17 +62,19 @@ class CurveSpec:
         b2, b4, b6, b8 = self.b_invariants()
         return -(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
 
+    def c_invariants(self) -> tuple[int, int]:
+        b2, b4, b6, _ = self.b_invariants()
+        return b2**2 - 24 * b4, -(b2**3) + 36 * b2 * b4 - 216 * b6
+
     def short_model(self, p: int) -> tuple[int, int]:
         """Reduce to y^2 = x^3 + Ax + B over F_p; requires p > 3 and good reduction."""
         if p <= 3:
             raise SmallCharacteristic(f"no short model at p = {p}")
         if self.conductor % p == 0:
             raise BadReduction(f"{self.label or 'curve'} has bad reduction at {p}")
-        b2, b4, b6, _ = self.b_invariants()
-        c4 = b2**2 - 24 * b4
-        c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
-        a = (-c4 * pow(48, p - 2, p)) % p
-        b = (-c6 * pow(864, p - 2, p)) % p
+        c4, c6 = self.c_invariants()
+        a = (-c4 * pow(48, -1, p)) % p
+        b = (-c6 * pow(864, -1, p)) % p
         return a, b
 
     def ainvs(self) -> tuple[int, int, int, int, int]:
@@ -190,9 +192,9 @@ def _ec_add(P, Q, a: int, p: int):
     if x1 == x2:
         if (y1 + y2) % p == 0:
             return None
-        lam = (3 * x1 * x1 + a) * pow(2 * y1, p - 2, p) % p
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
     else:
-        lam = (y2 - y1) * pow(x2 - x1, p - 2, p) % p
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
     x3 = (lam * lam - x1 - x2) % p
     return x3, (lam * (x1 - x3) - y1) % p
 
@@ -317,3 +319,298 @@ def ec_ap(curve: CurveSpec, p: int) -> int:
     if p <= NAIVE_BSGS_CROSSOVER:
         return ec_ap_naive(curve, p)
     return ec_ap_bsgs(curve, p)
+
+
+# -- lockstep BSGS over a block of primes --------------------------------------
+# One numpy row per prime; every group operation is applied to all rows at
+# once.  Points are Jacobian (X : Y : Z) with x = X/Z^2, y = Y/Z^3 on a short
+# model y^2 = x^3 + ax + b; all values are int64 residues in [0, p), so every
+# product of two residues stays below p^2 < 2^63.  An addition or doubling
+# whose result has Z = 0 (the point at infinity, or an exceptional case of the
+# formulas) marks its row as failed; failed rows go to the next pass.
+
+LOCKSTEP_BLOCK = 1024  # rows per lockstep pass: a working set of 2-3 MB for p up to 1e6
+LOCKSTEP_P_MAX = 3 * 10**9  # p^2 < 2^63 below this; larger primes use the scalar route
+_ROW_SHIFT = 34  # candidate key = row << 34 | order; orders are below 2p + 2 < 2^34
+_ORDER_MASK = (1 << _ROW_SHIFT) - 1
+
+
+def _powmod(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """base^exp mod p elementwise, with a separate exponent for every entry."""
+    result = np.ones_like(base)
+    for bit in range(int(exp.max()).bit_length()):
+        result = np.where((exp >> bit) & 1 == 1, result * base % p, result)
+        base = base * base % p
+    return result
+
+
+def _batch_inverse(z: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Inverses of z[j] mod p for every step j, with one exponentiation per row.
+
+    Montgomery's simultaneous inversion along the step axis: invert the
+    running product of z[0..L-1], then peel the factors off backwards.  The
+    running products and the inverses share one buffer.
+    """
+    out = np.empty_like(z)
+    acc = out[0] = z[0]
+    for j in range(1, len(z)):
+        acc = out[j] = acc * z[j] % p
+    inv = _powmod(acc, p - 2, p)
+    for j in range(len(z) - 1, 0, -1):
+        out[j] = inv * out[j - 1] % p
+        inv = inv * z[j] % p
+    out[0] = inv
+    return out
+
+
+def _to_affine(X: np.ndarray, Y: np.ndarray, Z: np.ndarray, p: np.ndarray) -> None:
+    """Turn the Jacobian points (X[j] : Y[j] : Z[j]) into affine (x, y), in place in X and Y."""
+    zinv = _batch_inverse(Z, p)
+    t = zinv * zinv
+    t %= p
+    X *= t
+    X %= p
+    t *= zinv
+    t %= p
+    Y *= t
+    Y %= p
+
+
+def _jacobian_double(X, Y, Z, a, p):
+    XX, YY, ZZ = X * X % p, Y * Y % p, Z * Z % p
+    S = 4 * (X * YY % p) % p
+    M = (3 * XX + a * (ZZ * ZZ % p)) % p
+    X3 = (M * M - 2 * S) % p
+    Y3 = (M * ((S - X3) % p) - 8 * (YY * YY % p)) % p
+    return X3, Y3, 2 * (Y * Z % p) % p
+
+
+def _jacobian_add_affine(X, Y, Z, x2, y2, p):
+    """(X : Y : Z) + (x2, y2); Z3 = 0 when the x-coordinates agree."""
+    ZZ = Z * Z % p
+    H = (x2 * ZZ - X) % p
+    r = (y2 * (Z * ZZ % p) - Y) % p
+    HH = H * H % p
+    HHH = H * HH % p
+    V = X * HH % p
+    X3 = (r * r - HHH - 2 * V) % p
+    return X3, (r * ((V - X3) % p) - Y * HHH) % p, Z * H % p
+
+
+def _jacobian_multiply(k, x, y, a, p):
+    """k * (x, y) for k >= 1 per row, by left-to-right double-and-add."""
+    X, Y, Z = x, y, np.ones_like(x)
+    nbits = np.frexp(k.astype(np.float64))[1]  # bit length of each k (exact below 2^53)
+    for bit in range(int(nbits.max()) - 2, -1, -1):
+        DX, DY, DZ = _jacobian_double(X, Y, Z, a, p)
+        AX, AY, AZ = _jacobian_add_affine(DX, DY, DZ, x, y, p)
+        use_add = (k >> bit) & 1 == 1
+        started = nbits > bit + 1
+        X = np.where(started, np.where(use_add, AX, DX), X)
+        Y = np.where(started, np.where(use_add, AY, DY), Y)
+        Z = np.where(started, np.where(use_add, AZ, DZ), Z)
+    return X, Y, Z
+
+
+def _residues(v: int, p: np.ndarray) -> np.ndarray:
+    """v mod p for every entry of p, for an integer v of any size."""
+    if -(2**62) < v < 2**62:
+        return np.int64(v) % p
+    return np.array([v % q for q in p.tolist()], dtype=np.int64)
+
+
+def _legendre(v: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Legendre symbol (v/p) in {-1, 0, 1} by Euler's criterion."""
+    e = _powmod(v % p, (p - 1) // 2, p)
+    return np.where(e == p - 1, -1, e)
+
+
+def _candidate_x(p: np.ndarray, salt: int, tries: range) -> np.ndarray:
+    """Pseudo-random x in [0, p), one row per try, a pure function of (salt, p, try)."""
+    z = (p.astype(np.uint64) << np.uint64(16)) ^ np.uint64(salt << 24)
+    z = z + np.arange(tries.start, tries.stop, dtype=np.uint64)[:, None]
+    z = z * np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(31)
+    z = z * np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(29)
+    return (z % p.astype(np.uint64)).astype(np.int64)
+
+
+def _lockstep_pass(p, A, B, salt, chi_wanted=None):
+    """One lockstep BSGS order search for every row.
+
+    A row picks x with f = x^3 + Ax + B != 0; P = (xf, f^2) then lies on
+    E_f: y^2 = x^3 + Af^2 x + Bf^3, the twist of E by f, so no square root
+    is needed.  ``chi_wanted`` (per row, +1 or -1) asks for a point on E
+    itself or on its quadratic twist.  Every n in the Hasse window with
+    nP = O is found: baby steps iP (i = 1..m) are matched by x-coordinate
+    against giant steps s_k P, s_k = (q0 + k)(2m + 1), so n = s_k -+ i.
+    Returns (keys, failed, chi): the sorted distinct ``row << 34 | #E(F_p)``
+    candidates of the rows that did not fail, mapped back from E_f to E; the
+    rows that failed (an exceptional addition, or no usable x); and the
+    Legendre symbol of each row's f.
+    """
+    n = p.size
+    xs = _candidate_x(p, salt, range(0, 4) if chi_wanted is None else range(4, 16))
+    fs = (xs * xs % p * xs % p + A * xs % p + B) % p
+    usable = fs != 0
+    if chi_wanted is not None:
+        usable &= _legendre(fs, p) == chi_wanted
+    pick = np.argmax(usable, axis=0)
+    cols = np.arange(n)
+    failed = ~usable[pick, cols]
+    x, f = xs[pick, cols], fs[pick, cols]
+    chi = _legendre(f, p) if chi_wanted is None else chi_wanted
+    ff = f * f % p
+    a, px, py = A * ff % p, x * f % p, ff
+
+    root = np.sqrt(4.0 * p).astype(np.int64)  # isqrt(4p): float sqrt is off by at most 1 here
+    root -= root * root > 4 * p
+    root += (root + 1) * (root + 1) <= 4 * p
+    lo, hi = p + 1 - root, p + 1 + root
+    m = math.isqrt(int(root.max())) + 1  # window width 2*root; m ~ sqrt(width / 2)
+    step = 2 * m + 1
+
+    # baby steps: row j holds (j + 1)P for j < m; row m holds J = (2m + 1)P
+    BX, BY, BZ = (np.empty((m + 1, n), dtype=np.int64) for _ in range(3))
+    X, Y, Z = px, py, np.ones(n, dtype=np.int64)
+    for j in range(m):
+        BX[j], BY[j], BZ[j] = X, Y, Z
+        if j == 0:
+            X, Y, Z = _jacobian_double(X, Y, Z, a, p)
+        elif j < m - 1:
+            X, Y, Z = _jacobian_add_affine(X, Y, Z, px, py, p)
+    X, Y, Z = _jacobian_double(BX[m - 1], BY[m - 1], BZ[m - 1], a, p)
+    BX[m], BY[m], BZ[m] = _jacobian_add_affine(X, Y, Z, px, py, p)
+    failed |= (BZ == 0).any(axis=0)
+    _to_affine(BX, BY, BZ, p)
+    del BZ
+    jx, jy = BX[m].copy(), BY[m].copy()
+
+    # giant steps: G_k = s_k P = (q0 + k) J, centres spaced 2m + 1 apart over [lo, hi]
+    q0 = (lo + m) // step
+    failed |= q0 < 1  # a block mixing primes of very different sizes: no room below lo
+    q0 = np.maximum(q0, 1)
+    K = int(((hi - m + step - 1) // step - q0).max()) + 1
+    GX, GY, GZ = (np.empty((K, n), dtype=np.int64) for _ in range(3))
+    X, Y, Z = _jacobian_multiply(q0, jx, jy, a, p)
+    for k in range(K):
+        GX[k], GY[k], GZ[k] = X, Y, Z
+        if k < K - 1:
+            X, Y, Z = _jacobian_add_affine(X, Y, Z, jx, jy, p)
+    failed |= (GZ == 0).any(axis=0)
+    _to_affine(GX, GY, GZ, p)
+    del GZ
+
+    # match x(G_k) with x(iP) in the same row on sort keys (row * stride + x) << shift,
+    # which carry the baby index i - 1 in their low bits
+    shift = m.bit_length()
+    low = (1 << shift) - 1
+    stride = int(p.max()) + 1
+    offsets = np.arange(n, dtype=np.int64) * stride
+    bkeys = BX[:m].reshape(-1)  # a view: the keys replace the x-coordinates
+    BX[:m] += offsets
+    BX[:m] <<= shift
+    BX[:m] |= np.arange(m)[:, None]
+    bkeys.sort()
+    # two baby points with one x mean ord(P) <= 2m; such a row could hide an order
+    twins = np.flatnonzero((bkeys[1:] ^ bkeys[:-1]) <= low)
+    failed[(bkeys[twins] >> shift) // stride] = True
+    gkeys = GX.reshape(-1)
+    GX += offsets
+    GX <<= shift
+    first = np.searchsorted(bkeys, gkeys)
+    np.minimum(first, bkeys.size - 1, out=first)
+    found = bkeys[first]
+    found ^= gkeys
+    g = np.flatnonzero(found <= low)  # giant points whose (row, x) is a baby key
+    row, k, i = g % n, g // n, (bkeys[first[g]] & low) + 1
+    b = (i - 1) * n + row  # flat index of iP in the baby arrays
+    yb, yg = BY.reshape(-1)[b], GY.reshape(-1)[g]
+    s = (q0[row] + k) * step
+    same, opposite = yb == yg, (yb + yg) % p[row] == 0  # G_k = iP or G_k = -iP
+    row = np.concatenate((row[same], row[opposite]))
+    order_f = np.concatenate((s[same] - i[same], s[opposite] + i[opposite]))
+    keep = (order_f >= lo[row]) & (order_f <= hi[row]) & ~failed[row]
+    row, order_f = row[keep], order_f[keep]
+    order_e = np.where(chi[row] == 1, order_f, 2 * p[row] + 2 - order_f)
+    return np.unique(row << _ROW_SHIFT | order_e), failed, chi
+
+
+def _short_models(curve: CurveSpec, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) of y^2 = x^3 - 27 c4 x - 54 c6 over F_p for each prime.
+
+    This model is 6^4, 6^6 times short_model's (A, B): isomorphic over F_p
+    for p > 3, so it has the same number of points and needs no inverse.
+    """
+    c4, c6 = curve.c_invariants()
+    return _residues(-27 * c4, p), _residues(-54 * c6, p)
+
+
+def _settle(out: np.ndarray, ps: np.ndarray, idx: np.ndarray, keys: np.ndarray, failed: np.ndarray) -> np.ndarray:
+    """Write a_p for the rows of idx with exactly one candidate order; return the other rows."""
+    owner = keys >> _ROW_SHIFT
+    done = (np.bincount(owner, minlength=idx.size) == 1) & ~failed
+    rows = np.flatnonzero(done)
+    orders = keys[np.searchsorted(owner, rows)] & _ORDER_MASK
+    out[idx[rows]] = ps[idx[rows]] + 1 - orders
+    return np.flatnonzero(~done)
+
+
+def ec_ap_array(curve: CurveSpec, primes) -> np.ndarray:
+    """a_p for an array of good primes, as exact int64, in the order given.
+
+    p <= 229 uses ec_ap_naive, and p >= LOCKSTEP_P_MAX the scalar
+    ec_ap_bsgs.  The primes in between run in increasing order
+    through lockstep blocks of LOCKSTEP_BLOCK rows: a first pass with a point
+    on E or on its twist; the rows left without exactly one candidate order
+    (together, across blocks) get a second pass with a point on the other
+    twist, whose candidates are intersected with the first pass's; rows
+    still open go to the scalar ec_ap_bsgs.  a_p is exact whatever the path,
+    so the result does not depend on how the primes are split into calls.
+    """
+    ps = np.asarray(primes, dtype=np.int64).reshape(-1)
+    out = np.empty(ps.size, dtype=np.int64)
+    bad = np.flatnonzero(_residues(curve.conductor, ps) == 0)
+    if bad.size:
+        raise BadReduction(f"{curve.label or 'curve'} has bad reduction at {ps[bad[0]]}")
+    small = ps <= NAIVE_BSGS_CROSSOVER
+    for j in np.flatnonzero(small).tolist():
+        out[j] = ec_ap_naive(curve, int(ps[j]))
+    large = np.flatnonzero(~small & (ps < LOCKSTEP_P_MAX))
+    large = large[np.argsort(ps[large], kind="stable")]
+    salt = hash(curve.ainvs()) & 0xFFFFFFFF
+
+    # pass 1; open rows are numbered in order of appearance, and keys1 holds
+    # their candidates as (open row number << 34 | order), sorted
+    open_idx, open_failed, open_chi, keys1 = [], [], [], []
+    opened = 0
+    for start in range(0, large.size, LOCKSTEP_BLOCK):
+        idx = large[start : start + LOCKSTEP_BLOCK]
+        keys, failed, chi = _lockstep_pass(ps[idx], *_short_models(curve, ps[idx]), salt)
+        rest = _settle(out, ps, idx, keys, failed)
+        owner = keys >> _ROW_SHIFT
+        kept = np.isin(owner, rest)
+        keys1.append((opened + np.searchsorted(rest, owner[kept])) << _ROW_SHIFT | keys[kept] & _ORDER_MASK)
+        open_idx.append(idx[rest])
+        open_failed.append(failed[rest])
+        open_chi.append(chi[rest])
+        opened += rest.size
+
+    # pass 2 on the other twist; a row whose pass 1 failed keeps pass 2's candidates alone
+    scalar = [np.flatnonzero(~small & (ps >= LOCKSTEP_P_MAX))]
+    if opened:
+        open_idx, open_failed, open_chi = map(np.concatenate, (open_idx, open_failed, open_chi))
+        keys1 = np.concatenate(keys1)
+    for start in range(0, opened, LOCKSTEP_BLOCK):
+        stop = min(start + LOCKSTEP_BLOCK, opened)
+        idx = open_idx[start:stop]
+        keys2, failed, _ = _lockstep_pass(ps[idx], *_short_models(curve, ps[idx]), salt, -open_chi[start:stop])
+        lo, hi = np.searchsorted(keys1, [start << _ROW_SHIFT, stop << _ROW_SHIFT])
+        both = np.intersect1d(keys2, keys1[lo:hi] - (start << _ROW_SHIFT))
+        keys = np.union1d(keys2[open_failed[start:stop][keys2 >> _ROW_SHIFT]], both)
+        scalar.append(idx[_settle(out, ps, idx, keys, failed)])
+
+    for j in np.concatenate(scalar).tolist():
+        out[j] = ec_ap_bsgs(curve, int(ps[j]))
+    return out

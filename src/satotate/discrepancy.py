@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from satotate.angles import AngleSeries
-from satotate.curves import CurveSpec, ec_ap
-from satotate.errors import DegenerateFit, RangeExceeded, SearchExceeded
+from satotate.angles import AngleSeries, angle_from_ap
+from satotate.curves import LOCKSTEP_BLOCK, CurveSpec, ec_ap, ec_ap_array
+from satotate.errors import DegenerateFit, RangeExceeded, SatotateError, SearchExceeded
 from satotate.measure import Interval, cheb_u_table, mu_st, st_cdf
 from satotate.primes import PrimeRange, primes_in
 
@@ -249,9 +250,10 @@ def least_prime_in_interval(
 ) -> LeastPrimeResult:
     """Smallest good prime with theta_p in I, plus the GRH bound-shape value.
 
-    A CurveSpec source streams primes and computes a_p on demand, so no
-    prebuilt series bounds the search; an AngleSeries source scans its
-    cached points (and cannot see past its x_max).
+    A CurveSpec source streams primes and computes a_p on demand, in blocks
+    that double from 64 primes up to LOCKSTEP_BLOCK, so no prebuilt series
+    bounds the search; an AngleSeries source scans its cached points (and
+    cannot see past its x_max).
     """
     mu = mu_st(interval)
     if mu <= 0.0:
@@ -270,14 +272,19 @@ def least_prime_in_interval(
 
     curve = source
     bound = grh_least_prime_ceiling(2, curve.conductor, mu, c)
-    from satotate.angles import angle_from_ap  # local import to avoid a cycle
-
-    for p in primes_in(PrimeRange(2, ceiling)):
-        if curve.conductor % p == 0:
-            continue
-        theta = angle_from_ap(float(ec_ap(curve, p)), p, 2)
-        if interval.alpha <= theta <= interval.beta:
-            return LeastPrimeResult(p, bound)
+    good = (p for p in primes_in(PrimeRange(2, ceiling)) if curve.conductor % p != 0)
+    size = 64
+    while block := list(islice(good, size)):
+        try:
+            aps = ec_ap_array(curve, block).tolist()
+        except SatotateError:
+            aps = None  # recount one prime at a time, so an error past the hit stays unseen
+        for i, p in enumerate(block):
+            ap = aps[i] if aps is not None else ec_ap(curve, p)
+            theta = angle_from_ap(float(ap), p, 2)
+            if interval.alpha <= theta <= interval.beta:
+                return LeastPrimeResult(p, bound)
+        size = min(2 * size, LOCKSTEP_BLOCK)
     raise SearchExceeded(f"no good prime <= {ceiling} with theta_p in I")
 
 

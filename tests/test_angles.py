@@ -74,13 +74,6 @@ def test_build_excludes_level_primes():
     assert s2.primes.tolist() == [2]
 
 
-def test_build_threads_deterministic():
-    s1 = build_angle_series(CURVE_11A1, 5000, threads=1)
-    s4 = build_angle_series(CURVE_11A1, 5000, threads=4)
-    assert s1.same_points(s4)
-    assert s1.x_max == s4.x_max
-
-
 def test_file_source_equals_curve_source(tmp_path):
     s = build_angle_series(CURVE_11A1, 2000)
     path = tmp_path / "11a1.coeffs"
@@ -196,6 +189,32 @@ def test_series_validation():
         toy_series([3, 2], [0.1, 0.2])
     with pytest.raises(ValueError):
         toy_series([2, 3], [0.1, 4.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_series_rejects_non_finite_angles(bad):
+    with pytest.raises(ValueError, match="finite"):
+        toy_series([2, 3], [bad, 1.0])
+
+
+def test_cache_with_nan_record_is_a_format_error(tmp_path):
+    path = tmp_path / "nan.stan"
+    save_cache(toy_series([2, 3, 5], [0.5, 1.0, 1.5]), path)
+    blob = bytearray(path.read_bytes())
+    blob[-8:] = np.float64(math.nan).tobytes()  # theta of the last record
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="finite"):
+        load_cache(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_normalized_coeff_file_rejects_non_finite(tmp_path, value):
+    path = tmp_path / "nan.coeffs"
+    path.write_text(
+        f"# satotate-coeffs v1\nlabel=x\nweight=2\nlevel=1\nnormalized=true\n2 {value}\n3 0.5\n"
+    )
+    with pytest.raises(FormatError, match="finite"):
+        read_coeff_file(path)
 
 
 def test_cm_heuristic_single_zero_point():

@@ -283,6 +283,32 @@ def test_fit_from_csv(cache_11a1, tmp_path, capsys):
     assert "slope" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", ["--err-col", "--x-col"])
+def test_fit_missing_column_is_a_usage_error(cache_11a1, tmp_path, capsys, flag):
+    csv_out = tmp_path / "v.csv"
+    main(["verify", "--cache", str(cache_11a1), "--interval", "half", "--x", "100,1000,5000", "--out", str(csv_out)])
+    capsys.readouterr()
+    assert main(["fit", "--csv", str(csv_out), flag, "missing"]) == 2
+    err = capsys.readouterr().err
+    header = [l for l in csv_out.read_text().splitlines() if not l.startswith("#")][0]
+    assert "'missing'" in err and header in err
+
+
+def test_fit_short_row_is_a_usage_error(tmp_path, capsys):
+    csv_in = tmp_path / "short.csv"
+    csv_in.write_text("x,error_abs\n10,0.1\n100\n")
+    assert main(["fit", "--csv", str(csv_in)]) == 2
+    assert "x,error_abs" in capsys.readouterr().err
+
+
+def test_angles_nan_coefficient_exits_3(tmp_path, capsys):
+    coeffs = tmp_path / "nan.coeffs"
+    coeffs.write_text("# satotate-coeffs v1\nlabel=x\nweight=2\nlevel=1\nnormalized=true\n2 nan\n3 0.5\n")
+    assert main(["angles", "--coeffs", str(coeffs), "--xmax", "3", "--out", str(tmp_path / "x.stan")]) == 3
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.stan").exists()
+
+
 def test_simulate_deterministic(tmp_path):
     a, b = tmp_path / "a.stan", tmp_path / "b.stan"
     assert main(["simulate", "--seed", "5", "--xmax", "2000", "--out", str(a)]) == 0

@@ -1,9 +1,14 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import satotate.curves as curves_module
+import satotate.discrepancy as discrepancy_module
+from satotate.angles import angle_from_ap
 from satotate.curves import (
     CURVE_11A1,
     CURVE_32A,
@@ -11,13 +16,17 @@ from satotate.curves import (
     CURVE_389A1,
     CURVE_5077A1,
     CurveSpec,
+    ec_ap,
+    ec_ap_array,
     ec_ap_bsgs,
     ec_ap_naive,
     ec_count_points_enum,
     ec_count_points_naive,
     sqrt_mod,
 )
-from satotate.errors import BadReduction, SmallCharacteristic
+from satotate.discrepancy import least_prime_in_interval
+from satotate.errors import AmbiguousOrder, BadReduction, SearchExceeded, SmallCharacteristic
+from satotate.measure import Interval
 from satotate.primes import primes_array
 
 BATTERY = [CURVE_11A1, CURVE_37A1, CURVE_389A1, CURVE_5077A1, CURVE_32A]
@@ -155,3 +164,133 @@ def test_sqrt_mod(a, pidx):
         assert (r * r - a) % p == 0
     else:
         assert pow(a % p, (p - 1) // 2, p) == p - 1
+
+
+# -- lockstep engine -----------------------------------------------------------
+
+
+def good_primes(curve: CurveSpec, lo: int, hi: int) -> np.ndarray:
+    ps = primes_array(lo, hi)
+    return ps[curve.conductor % ps != 0]
+
+
+@pytest.mark.parametrize("curve", BATTERY, ids=lambda c: c.label)
+def test_ap_array_equals_naive_to_2e4(curve):
+    ps = good_primes(curve, 230, 20_000)
+    expected = [ec_ap_naive(curve, p) for p in ps.tolist()]
+    got = ec_ap_array(curve, ps)
+    assert got.dtype == np.int64
+    assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("curve", BATTERY, ids=lambda c: c.label)
+def test_ap_array_equals_scalar_bsgs_sample_to_1e6(curve):
+    ps = good_primes(curve, 2, 1_100_000).tolist()
+    sample = random.Random(curve.conductor).sample(ps, 120)  # unsorted
+    sample[10:10] = [p for p in (227, 3, 2, 7) if curve.conductor % p != 0]  # the naive routes too
+    expected = [ec_ap_naive(curve, p) if p <= 229 else ec_ap_bsgs(curve, p) for p in sample]
+    assert ec_ap_array(curve, sample).tolist() == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=st.integers(min_value=-50, max_value=50), b=st.integers(min_value=-50, max_value=50))
+def test_ap_array_random_short_curves(a, b):
+    disc = -16 * (4 * a**3 + 27 * b**2)
+    if disc == 0:
+        return
+    curve = CurveSpec(0, 0, 0, a, b, conductor=abs(disc), label="rand")  # excludes every p | disc
+    ps = good_primes(curve, 230, 3000)
+    assert ec_ap_array(curve, ps).tolist() == [ec_ap_naive(curve, p) for p in ps.tolist()]
+
+
+def test_ap_array_independent_of_split():
+    ps = good_primes(CURVE_32A, 2, 30_000)
+    whole = ec_ap_array(CURVE_32A, ps)
+    rng = random.Random(5)
+    for _ in range(3):
+        cuts = sorted(rng.sample(range(1, ps.size), 6)) + [ps.size]
+        parts, start = [], 0
+        for stop in cuts:
+            parts.append(ec_ap_array(CURVE_32A, ps[start:stop]))
+            start = stop
+        assert np.array_equal(np.concatenate(parts), whole)
+    assert np.array_equal(ec_ap_array(CURVE_32A, ps[::-1]), whole[::-1])
+    assert ec_ap_array(CURVE_32A, []).size == 0
+
+
+def test_ap_array_mixed_sizes_up_to_the_int64_limit():
+    # 233 shares a block with primes near LOCKSTEP_P_MAX = 3e9; 3000000019 is above it
+    ps = [233, 2999999929, 239, 3000000019]
+    for curve in (CURVE_11A1, CURVE_32A):
+        assert ec_ap_array(curve, ps).tolist() == [ec_ap_bsgs(curve, p) for p in ps]
+
+
+def test_ap_array_rejects_bad_primes():
+    with pytest.raises(BadReduction):
+        ec_ap_array(CURVE_37A1, [5, 37, 41])
+
+
+def test_ambiguous_row_takes_the_scalar_fallback(monkeypatch):
+    ps = good_primes(CURVE_11A1, 230, 5000)
+    forced = int(ps[100])
+    assert ec_ap_naive(CURVE_11A1, forced) != 0
+    real_pass, real_bsgs = curves_module._lockstep_pass, curves_module.ec_ap_bsgs
+    fallback_primes = []
+
+    def ambiguous_pass(p, A, B, salt, chi_wanted=None):
+        keys, failed, chi = real_pass(p, A, B, salt, chi_wanted)
+        rows = np.flatnonzero(p == forced)
+        # a second candidate order p + 1 (a_p = 0) in every pass for the forced row
+        return np.union1d(keys, rows << curves_module._ROW_SHIFT | (forced + 1)), failed, chi
+
+    def counting_bsgs(curve, p, *args, **kwargs):
+        fallback_primes.append(p)
+        return real_bsgs(curve, p, *args, **kwargs)
+
+    monkeypatch.setattr(curves_module, "_lockstep_pass", ambiguous_pass)
+    monkeypatch.setattr(curves_module, "ec_ap_bsgs", counting_bsgs)
+    got = ec_ap_array(CURVE_11A1, ps)
+    assert forced in fallback_primes
+    assert got.tolist() == [ec_ap_naive(CURVE_11A1, p) for p in ps.tolist()]
+
+
+def scalar_least_prime(thetas_by_p, interval):
+    for p, theta in thetas_by_p:
+        if interval.alpha <= theta <= interval.beta:
+            return p
+    return None
+
+
+@pytest.mark.parametrize("curve", [CURVE_11A1, CURVE_37A1], ids=lambda c: c.label)
+def test_least_prime_equals_scalar_scan(curve):
+    ceiling = 30_000
+    thetas_by_p = [
+        (p, angle_from_ap(float(ec_ap(curve, p)), p, 2)) for p in good_primes(curve, 2, ceiling).tolist()
+    ]
+    rng = random.Random(curve.conductor)
+    for _ in range(10):
+        centre, half = rng.uniform(0.0, math.pi), rng.uniform(1e-4, 0.02)
+        interval = Interval(max(0.0, centre - half), min(math.pi, centre + half))
+        expected = scalar_least_prime(thetas_by_p, interval)
+        if expected is None:
+            with pytest.raises(SearchExceeded):
+                least_prime_in_interval(curve, interval, ceiling=ceiling)
+        else:
+            assert least_prime_in_interval(curve, interval, ceiling=ceiling).p == expected
+
+
+def test_least_prime_hides_errors_past_the_hit(monkeypatch):
+    interval = Interval(0.0, 0.3)
+    hit = least_prime_in_interval(CURVE_11A1, interval).p
+
+    def broken_block(curve, primes):
+        raise AmbiguousOrder("block failed")
+
+    def scalar_past_hit(curve, p):
+        if p > hit:
+            raise AmbiguousOrder(f"failed past the hit at {p}")
+        return ec_ap(curve, p)
+
+    monkeypatch.setattr(discrepancy_module, "ec_ap_array", broken_block)
+    monkeypatch.setattr(discrepancy_module, "ec_ap", scalar_past_hit)
+    assert least_prime_in_interval(CURVE_11A1, interval).p == hit
