@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from satotate import prime_sums
-from satotate.angles import AngleSeries, build_angle_series, load_cache, save_cache
+from satotate.angles import AngleSeries, FormMeta, build_angle_series, load_cache, save_cache
 from satotate.curves import CurveSpec
 from satotate.discrepancy import (
     DEFAULT_ET_CONSTANT,
@@ -31,7 +31,7 @@ from satotate.discrepancy import (
     least_prime_in_interval,
     theoretical_bound_curve,
 )
-from satotate.errors import SatotateError
+from satotate.errors import FormatError, SatotateError
 from satotate.measure import Interval, st_quantile
 from satotate.primes import primes_array
 
@@ -148,12 +148,11 @@ def cmd_angles(args) -> int:
 
 def cmd_simulate(args) -> int:
     """Synthetic series: angles drawn i.i.d. from the Sato-Tate measure."""
+    if args.xmax < 2:
+        raise UsageError("x_max must be >= 2")
     rng = np.random.default_rng(args.seed)
     ps = primes_array(2, args.xmax)
-    u = rng.uniform(0.0, 1.0, ps.size)
-    thetas = np.array([st_quantile(v) for v in u])
-    from satotate.angles import FormMeta
-
+    thetas = st_quantile(rng.uniform(0.0, 1.0, ps.size))
     series = AngleSeries(FormMeta(f"sim{args.seed}", 2, 1, "file"), args.xmax, ps, thetas)
     save_cache(series, args.out)
     print(f"wrote {args.out}: {len(series)} simulated points (seed={args.seed})")
@@ -215,6 +214,8 @@ def cmd_least_prime(args) -> int:
 
 
 def cmd_cheb_sums(args) -> int:
+    if args.m_min > args.m:
+        raise UsageError(f"--m-min {args.m_min} exceeds --m {args.m}")
     series = load_series_arg(args.cache)
     rows = []
     for x in parse_x_list(args.x):
@@ -384,8 +385,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except SatotateError as exc:
         # format/truncation problems are I/O; everything else is a domain error
-        from satotate.errors import FormatError
-
         code = EXIT_IO if isinstance(exc, FormatError) else EXIT_USAGE
         print(f"error: {exc}", file=sys.stderr)
         return code

@@ -276,12 +276,11 @@ def least_prime_in_interval(
     size = 64
     while block := list(islice(good, size)):
         try:
-            aps = ec_ap_array(curve, block).tolist()
+            thetas = angle_from_ap(ec_ap_array(curve, block), block, 2).tolist()
         except SatotateError:
-            aps = None  # recount one prime at a time, so an error past the hit stays unseen
-        for i, p in enumerate(block):
-            ap = aps[i] if aps is not None else ec_ap(curve, p)
-            theta = angle_from_ap(float(ap), p, 2)
+            # recount one prime at a time, so an error past the hit stays unseen
+            thetas = (angle_from_ap(float(ec_ap(curve, p)), p, 2) for p in block)
+        for p, theta in zip(block, thetas):
             if interval.alpha <= theta <= interval.beta:
                 return LeastPrimeResult(p, bound)
         size = min(2 * size, LOCKSTEP_BLOCK)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -46,40 +47,48 @@ def st_cdf(theta):
     return (theta - np.sin(2.0 * theta) / 2.0) / math.pi
 
 
-def st_quantile(u: float) -> float:
-    """Inverse CDF by safeguarded Newton iteration with a bisection bracket.
+def st_quantile(u):
+    """Inverse CDF by safeguarded Newton iteration; scalar or array in, same out.
 
     F'(theta) = (2/pi) sin^2(theta) vanishes at the endpoints, so raw Newton
-    can escape [0, pi]; every step is clipped back into the current bracket.
+    can escape [0, pi]; every step is clipped back into a bisection bracket.
+    All elements iterate in lockstep, and each takes exactly the steps of the
+    scalar iteration: it returns theta when F(theta) = u exactly, stops once
+    a step moves theta by less than 1e-15, and runs at most 200 steps.  The
+    derivative is the scalar's math.sin(theta) ** 2.  Pass whole arrays: a
+    scalar runs the same loop on one element, at about 0.5 ms a call.
     """
-    if not 0.0 <= u <= 1.0:
+    u = np.asarray(u, dtype=np.float64)
+    if not ((u >= 0.0) & (u <= 1.0)).all():
         raise ValueError("u must lie in [0, 1]")
-    if u == 0.0:
-        return 0.0
-    if u == 1.0:
-        return math.pi
-    lo, hi = 0.0, math.pi
-    theta = math.pi * u  # decent start: uniform-measure guess
+    flat = u.ravel()
+    out = np.where(flat == 1.0, math.pi, 0.0)
+    live = np.flatnonzero((flat > 0.0) & (flat < 1.0))
+    target = flat[live]
+    lo, hi = np.zeros(live.size), np.full(live.size, math.pi)
+    theta = math.pi * target  # decent start: uniform-measure guess
     for _ in range(200):
-        f = float(st_cdf(theta)) - u
-        if f > 0:
-            hi = theta
-        elif f < 0:
-            lo = theta
-        else:
-            return theta
-        deriv = (2.0 / math.pi) * math.sin(theta) ** 2
-        if deriv > 0:
-            step = theta - f / deriv
-        else:
-            step = 0.5 * (lo + hi)
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi)
-        if abs(step - theta) < 1e-15:
-            theta = step
+        if not live.size:
             break
-        theta = step
-    return theta
+        f = st_cdf(theta) - target
+        hi = np.where(f > 0, theta, hi)
+        lo = np.where(f < 0, theta, lo)
+        # libm sin and pow element by element, not np.sin(theta) ** 2: numpy's
+        # square is s * s, and libm pow(s, 2.0) differs from it in the last bit
+        # on some inputs, which moves a quantile by one ulp.
+        sin2 = map(math.pow, map(math.sin, theta.tolist()), repeat(2.0))
+        deriv = (2.0 / math.pi) * np.fromiter(sin2, np.float64, count=theta.size)
+        mid = 0.5 * (lo + hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(deriv > 0, theta - f / deriv, mid)
+        step = np.where((lo < step) & (step < hi), step, mid)
+        exact = f == 0
+        done = exact | (np.abs(step - theta) < 1e-15)
+        out[live[done]] = np.where(exact, theta, step)[done]
+        keep = ~done
+        live, target, lo, hi, theta = live[keep], target[keep], lo[keep], hi[keep], step[keep]
+    out[live] = theta
+    return float(out[0]) if u.ndim == 0 else out.reshape(u.shape)
 
 
 def _cheb_u_recurrence(m: int, x):

@@ -48,3 +48,39 @@ def synthetic_series(n: int, seed: int, level: int = 1) -> AngleSeries:
     thetas = st_quantile_vec(rng.uniform(0.0, 1.0, n))
     meta = FormMeta(f"sim{seed}", 2, level, "file")
     return AngleSeries(meta, int(ps[-1]), ps, thetas)
+
+
+def st_quantile_scalar(u: float) -> float:
+    """The scalar safeguarded Newton that the array st_quantile must match bit for bit.
+
+    Kept verbatim on the test side, CDF included: math.sin for the derivative
+    and numpy's sin inside F(theta) = (theta - sin(2 theta) / 2) / pi.
+    """
+    if not 0.0 <= u <= 1.0:
+        raise ValueError("u must lie in [0, 1]")
+    if u == 0.0:
+        return 0.0
+    if u == 1.0:
+        return math.pi
+    lo, hi = 0.0, math.pi
+    theta = math.pi * u
+    for _ in range(200):
+        f = float((theta - np.sin(2.0 * theta) / 2.0) / math.pi) - u
+        if f > 0:
+            hi = theta
+        elif f < 0:
+            lo = theta
+        else:
+            return theta
+        deriv = (2.0 / math.pi) * math.sin(theta) ** 2
+        if deriv > 0:
+            step = theta - f / deriv
+        else:
+            step = 0.5 * (lo + hi)
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - theta) < 1e-15:
+            theta = step
+            break
+        theta = step
+    return theta

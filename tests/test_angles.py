@@ -38,6 +38,36 @@ def test_angle_from_ap_values():
     assert angle_from_ap(-2 * 5 ** 0.5, 5, 2) == math.pi
 
 
+@pytest.mark.parametrize("k", [2, 4, 12])
+def test_angle_from_ap_array_is_bit_identical_to_scalar_formula(k):
+    ps = primes_array(2, 10**6)
+    ps = ps[11 % ps != 0]
+    rng = np.random.default_rng(k)
+    aps = np.trunc(rng.uniform(-1.0, 1.0, ps.size) * 2.0 * ps.astype(float) ** ((k - 1) / 2))
+    expected = np.array(
+        [
+            math.acos(min(1, max(-1, ap / (2.0 * float(p) ** ((k - 1) / 2)))))
+            for ap, p in zip(aps.tolist(), ps.tolist())
+        ]
+    )
+    got = angle_from_ap(aps, ps, k)
+    assert got.shape == ps.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_angle_from_ap_scalar_in_float_out():
+    theta = angle_from_ap(3.0, 7, 2)
+    assert type(theta) is float
+    assert theta == math.acos(3.0 / (2.0 * 7.0 ** 0.5))
+
+
+def test_angle_from_ap_array_reports_first_violation():
+    with pytest.raises(DeligneViolation, match="at p = 5$"):
+        angle_from_ap(np.array([1.0, 5.0, 9.0]), np.array([3, 5, 7]), 2)
+    with pytest.raises(DeligneViolation, match="nan"):
+        angle_from_ap(math.nan, 5, 2)
+
+
 def test_angle_from_ap_deligne_violation():
     with pytest.raises(DeligneViolation):
         angle_from_ap(5.0, 5, 2)
@@ -116,6 +146,92 @@ def test_coeff_file_format_errors(tmp_path):
     )
     with pytest.raises(FormatError):
         read_coeff_file(unsorted)
+
+
+HEADER = "# satotate-coeffs v1\nlabel=x\nweight=2\nlevel=11\nnormalized={}\n"
+
+
+def test_read_coeff_file_returns_arrays(tmp_path):
+    path = tmp_path / "ok.coeffs"
+    path.write_text(HEADER.format("false") + "# comment\n\n2 -2\n  3\t-1  \n5 1 # trailing comment\n")
+    meta, primes, aps, normalized = read_coeff_file(path)
+    assert (meta.label, meta.weight_k, meta.level_q, normalized) == ("x", 2, 11, False)
+    assert primes.dtype == np.int64 and primes.tolist() == [2, 3, 5]
+    assert aps.dtype == np.float64 and aps.tolist() == [-2.0, -1.0, 1.0]
+    header_only = tmp_path / "empty.coeffs"
+    header_only.write_text(HEADER.format("true") + "# no entries\n")
+    _, primes, aps, _ = read_coeff_file(header_only)
+    assert primes.size == 0 and aps.size == 0
+
+
+@pytest.mark.parametrize(
+    "body, normalized, reason",
+    [
+        ("2 1\n3 1 7\n", "false", "expected 'p a_p' entries"),  # field count
+        ("2 1\n3\n", "false", "expected 'p a_p' entries"),
+        ("2 1\n3 1.5\n", "false", "integer"),  # non-integer a_p, unnormalized
+        ("2 1\n3 nan\n", "false", "finite"),
+        ("2 0.5\n3 inf\n", "true", "finite"),
+        ("2 1\n5 1\n3 1\n", "false", "ascending, got p = 3 at entry 3"),
+        ("2 1\n2 1\n", "false", "ascending, got p = 2 at entry 2"),
+        ("0 1\n2 1\n", "false", "positive and strictly ascending, got p = 0 at entry 1"),
+        ("-3 1\n2 1\n", "false", "positive and strictly ascending, got p = -3 at entry 1"),
+        ("2.0 1\n", "false", "expected 'p a_p' entries"),
+    ],
+)
+def test_coeff_file_rejections(tmp_path, body, normalized, reason):
+    path = tmp_path / "bad.coeffs"
+    path.write_text(HEADER.format(normalized) + body)
+    with pytest.raises(FormatError, match=reason) as exc:
+        read_coeff_file(path)
+    assert str(path) in str(exc.value)
+
+
+def test_coeff_file_repeated_header_key(tmp_path):
+    path = tmp_path / "twice.coeffs"
+    path.write_text(HEADER.format("false") + "level=37\n2 1\n")
+    with pytest.raises(FormatError, match="'level' repeats"):
+        read_coeff_file(path)
+
+
+def test_coeff_file_invalid_utf8_is_a_format_error(tmp_path):
+    path = tmp_path / "bytes.coeffs"
+    path.write_bytes(HEADER.format("false").encode() + b"2 1\n3 \xff\n")
+    with pytest.raises(FormatError):
+        read_coeff_file(path)
+
+
+def test_coeff_file_rejects_non_prime_entry_up_to_x_max(tmp_path):
+    path = tmp_path / "composite.coeffs"
+    path.write_text(HEADER.format("false") + "2 1\n3 1\n4 1\n5 1\n7 1\n")
+    with pytest.raises(FormatError, match="p = 4 <= 7, which is not prime"):
+        build_angle_series(path, 7)
+    # entries past x_max are not examined
+    assert build_angle_series(path, 3).primes.tolist() == [2, 3]
+
+
+def test_coeff_file_ignores_entries_at_level_primes(tmp_path):
+    path = tmp_path / "level.coeffs"
+    path.write_text(HEADER.format("false") + "2 -2\n3 -1\n5 1\n7 -2\n11 1\n13 4\n")
+    s = build_angle_series(path, 13)
+    assert s.primes.tolist() == [2, 3, 5, 7, 13]
+    assert s.thetas[-1] == angle_from_ap(4.0, 13, 2)
+    # the level prime needs no entry either
+    path.write_text(HEADER.format("false") + "2 -2\n3 -1\n5 1\n7 -2\n13 4\n")
+    assert build_angle_series(path, 13).same_points(s)
+
+
+def test_coeff_file_first_fault_in_prime_order_wins(tmp_path):
+    path = tmp_path / "faults.coeffs"
+    path.write_text(HEADER.format("false") + "2 1\n3 9\n7 1\n")  # a_3 breaks Deligne, a_5 is missing
+    with pytest.raises(DeligneViolation, match="at p = 3"):
+        build_angle_series(path, 7)
+    path.write_text(HEADER.format("false") + "2 1\n3 1\n7 9\n")  # a_5 is missing, a_7 breaks Deligne
+    with pytest.raises(MissingPrime, match="good prime 5 <= 7"):
+        build_angle_series(path, 7)
+    path.write_text(HEADER.format("true") + "2 1\n3 2.5\n")
+    with pytest.raises(DeligneViolation, match="normalized \\|a_p\\| = 2.5 > 2 at p = 3"):
+        build_angle_series(path, 3)
 
 
 def test_cache_round_trip(tmp_path):

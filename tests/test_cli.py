@@ -255,6 +255,14 @@ def test_cheb_sums_command(cache_11a1, tmp_path):
     assert float(row["sum_weighted"]) == pytest.approx(float(np.sum(np.log(ps))), rel=1e-12)
 
 
+def test_cheb_sums_m_min_above_m_exits_2(cache_11a1, tmp_path, capsys):
+    out = tmp_path / "cs.csv"
+    args = ["cheb-sums", "--cache", str(cache_11a1), "--m", "3", "--m-min", "5", "--x", "500"]
+    assert main(args + ["--out", str(out)]) == 2
+    assert "--m-min 5 exceeds --m 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_smooth_command(cache_11a1, capsys):
     rc = main(["smooth", "--cache", str(cache_11a1), "--m", "0", "--x", "4000", "--ell", "4", "--eps", "0.1"])
     assert rc == 0
@@ -319,6 +327,17 @@ def test_simulate_deterministic(tmp_path):
     s = load_cache(a)
     assert s.meta.level_q == 1
     assert len(s) == prime_count(2000)
+
+
+def test_simulate_rejects_x_max_below_2(tmp_path, capsys):
+    out = tmp_path / "s.stan"
+    assert main(["simulate", "--seed", "1", "--xmax", "1", "--out", str(out)]) == 2
+    assert "x_max must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
+    # the same rule as angles
+    curve = ["--curve", "0,-1,1,-10,-20", "--conductor", "11"]
+    assert main(["angles", *curve, "--xmax", "1", "--out", str(out)]) == 2
+    assert "x_max must be >= 2" in capsys.readouterr().err
 
 
 def test_console_entry_point():

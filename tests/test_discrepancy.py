@@ -263,8 +263,8 @@ def test_box_discrepancy_independent_pairs():
     rng = np.random.default_rng(5)
     n = 10_000
     ps = primes_array(2, 200_000)[:n]
-    t1 = np.array([st_quantile(float(v)) for v in rng.uniform(0, 1, n)])
-    t2 = np.array([st_quantile(float(v)) for v in rng.uniform(0, 1, n)])
+    t1 = st_quantile(rng.uniform(0, 1, n))
+    t2 = st_quantile(rng.uniform(0, 1, n))
     s1 = toy_series(ps, t1)
     s2 = toy_series(ps, t2)
     val = joint_box_discrepancy(s1, s2, int(ps[-1]), grid=64)

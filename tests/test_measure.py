@@ -17,6 +17,8 @@ from satotate.measure import (
     st_quantile,
 )
 
+from oracles import st_quantile_scalar
+
 
 def mu_st_quadrature(interval: Interval) -> float:
     """Adaptive-quadrature oracle for the Sato-Tate mass."""
@@ -110,6 +112,30 @@ def test_st_cdf_values():
 def test_st_quantile_endpoints():
     assert st_quantile(0.0) == 0.0
     assert st_quantile(1.0) == math.pi
+
+
+def test_st_quantile_array_is_bit_identical_to_scalar_newton():
+    # uniforms of seed 0 include quantiles where libm pow(s, 2.0) != s * s
+    # changes the Newton path, so an np.sin(theta) ** 2 derivative fails here
+    u = np.concatenate(
+        [np.random.default_rng(0).uniform(0.0, 1.0, 200_000), [0.0, 1.0, 5e-324, 1 - 2**-53, 0.5]]
+    )
+    expected = np.array([st_quantile_scalar(v) for v in u.tolist()])
+    got = st_quantile(u)
+    assert got.dtype == np.float64 and got.shape == u.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    for v in (0.0, 1.0, 5e-324, 1 - 2**-53, 0.5):
+        theta = st_quantile(v)
+        assert type(theta) is float and theta == st_quantile_scalar(v)
+
+
+def test_st_quantile_keeps_array_shape_and_rejects_out_of_range():
+    u = np.array([[0.25, 0.5], [0.75, 1.0]])
+    assert st_quantile(u).shape == (2, 2)
+    assert st_quantile(np.empty(0)).shape == (0,)
+    for bad in (-0.1, 1.5, math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(ValueError):
+            st_quantile(bad)
 
 
 def test_quantile_inverts_cdf():
