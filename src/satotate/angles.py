@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from satotate.curves import CurveSpec, ec_ap_array
-from satotate.errors import DeligneViolation, FormatError, MissingPrime
+from satotate.errors import DeligneViolation, FormatError, MissingPrime, RangeExceeded
 from satotate.primes import primes_array
 
 DELIGNE_SLACK = 1e-12
@@ -77,6 +77,20 @@ class AngleSeries:
         """(primes, thetas) restricted to p <= x."""
         k = int(np.searchsorted(self.primes, x, side="right"))
         return self.primes[:k], self.thetas[:k]
+
+    def check_range(self, x: int) -> None:
+        """Raise RangeExceeded when x lies beyond the series coverage x_max."""
+        if x > self.x_max:
+            raise RangeExceeded(f"x = {x} exceeds series coverage x_max = {self.x_max}")
+
+    def common_good(self, other: "AngleSeries", x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(primes, thetas, other's thetas) over primes <= x good for both series."""
+        self.check_range(x)
+        other.check_range(x)
+        p1, t1 = self.upto(x)
+        p2, t2 = other.upto(x)
+        pos, found = _find(p2, p1)
+        return p1[found], t1[found], t2[pos[found]]
 
     def theta_at(self, p: int) -> float:
         i = int(np.searchsorted(self.primes, p))
@@ -208,7 +222,7 @@ def read_coeff_file(path: Path) -> tuple[FormMeta, np.ndarray, np.ndarray, bool]
                 path, dtype=_COEFF_DTYPE, comments="#", skiprows=header_lines, ndmin=1, encoding="utf-8"
             )
         except ValueError as exc:  # includes UnicodeDecodeError
-            reason = str(exc).split("; use `usecols`")[0]
+            reason = _first_bad_entry(path, header_lines) or str(exc).split("; use `usecols`")[0]
             raise FormatError(f"{path}: expected 'p a_p' entries: {reason}") from exc
     primes = np.ascontiguousarray(rows["p"])
     aps = np.ascontiguousarray(rows["ap"])
@@ -227,6 +241,32 @@ def read_coeff_file(path: Path) -> tuple[FormMeta, np.ndarray, np.ndarray, bool]
         )
     meta = FormMeta(header["label"], weight, level, "file")
     return meta, primes, aps, normalized
+
+
+def _first_bad_entry(path: Path, skip: int) -> str | None:
+    """'line N reads ...' for the first body line that is not 'p a_p', if one is.
+
+    N is the file's own 1-based line number.  Used once np.loadtxt has
+    rejected the body, as numpy numbers its rows by entries, and differently
+    for a bad token and for a wrong field count.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for number, line in enumerate(fh, 1):
+                fields = [] if number <= skip else line.split("#", 1)[0].split()
+                if not fields:
+                    continue
+                try:
+                    # int() and float() take 1_0, numpy does not
+                    if len(fields) != 2 or any("_" in f for f in fields):
+                        raise ValueError
+                    int(fields[0])
+                    float(fields[1])
+                except ValueError:
+                    return f"line {number} reads {line.strip()!r}"
+    except (OSError, UnicodeDecodeError):
+        pass
+    return None
 
 
 def write_coeff_file(

@@ -217,19 +217,11 @@ def cmd_cheb_sums(args) -> int:
     if args.m_min > args.m:
         raise UsageError(f"--m-min {args.m_min} exceeds --m {args.m}")
     series = load_series_arg(args.cache)
-    rows = []
-    for x in parse_x_list(args.x):
-        for m in range(args.m_min, args.m + 1):
-            plain, weighted = prime_sums.cheb_prime_sum(series, m, x)
-            rows.append(
-                {
-                    "m": m,
-                    "x": x,
-                    "sum_plain": plain,
-                    "sum_weighted": weighted,
-                    "partial_summation_residual": prime_sums.partial_summation_residual(series, m, x),
-                }
-            )
+    rows = [
+        {"m": m, "x": x, "sum_plain": plain, "sum_weighted": weighted, "partial_summation_residual": residual}
+        for x in parse_x_list(args.x)
+        for m, plain, weighted, residual in prime_sums.cheb_sum_rows(series, range(args.m_min, args.m + 1), x)
+    ]
     write_rows(rows, list(rows[0].keys()), args.format, args.out, "cheb-sums")
     return 0
 

@@ -11,18 +11,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
 
 from satotate.angles import AngleSeries, angle_from_ap
 from satotate.curves import LOCKSTEP_BLOCK, CurveSpec, ec_ap, ec_ap_array
-from satotate.errors import DegenerateFit, RangeExceeded, SatotateError, SearchExceeded
-from satotate.measure import Interval, cheb_u_table, mu_st, st_cdf
-from satotate.primes import PrimeRange, primes_in
+from satotate.errors import DegenerateFit, SatotateError, SearchExceeded
+from satotate.measure import Interval, cheb_u_rows, cheb_u_table, mu_st, st_cdf
+from satotate.primes import PrimeRange, prime_count, primes_in
 
 
-def _level_prime_divisors(q: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _level_prime_divisors(q: int) -> tuple[int, ...]:
     out = []
     d = 2
     while d * d <= q:
@@ -33,7 +35,7 @@ def _level_prime_divisors(q: int) -> list[int]:
         d += 1
     if q > 1:
         out.append(q)
-    return out
+    return tuple(out)
 
 
 def pi_of_x(series: AngleSeries, x: int) -> int:
@@ -43,36 +45,25 @@ def pi_of_x(series: AngleSeries, x: int) -> int:
     return int(good.size) + ramified
 
 
-def _check_range(series: AngleSeries, x: int) -> None:
-    if x > series.x_max:
-        raise RangeExceeded(f"x = {x} exceeds series coverage x_max = {series.x_max}")
-
-
 def count_in_interval(series: AngleSeries, interval: Interval, x: int) -> int:
     """pi_{f,I}(x): good primes p <= x with theta_p in the closed interval."""
-    _check_range(series, x)
+    series.check_range(x)
     _, thetas = series.upto(x)
     return int(np.count_nonzero((thetas >= interval.alpha) & (thetas <= interval.beta)))
 
 
-def common_good(series1: AngleSeries, series2: AngleSeries, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(primes, thetas1, thetas2) over primes <= x good for both forms."""
-    p1, t1 = series1.upto(x)
-    p2, t2 = series2.upto(x)
-    common, i1, i2 = np.intersect1d(p1, p2, assume_unique=True, return_indices=True)
-    return common, t1[i1], t2[i2]
+def _joint_count(t1: np.ndarray, t2: np.ndarray, i1: Interval, i2: Interval) -> int:
+    in1 = (t1 >= i1.alpha) & (t1 <= i1.beta)
+    in2 = (t2 >= i2.alpha) & (t2 <= i2.beta)
+    return int(np.count_nonzero(in1 & in2))
 
 
 def joint_count(
     series1: AngleSeries, series2: AngleSeries, i1: Interval, i2: Interval, x: int
 ) -> int:
     """Joint count over primes good for both forms, per the product indicator."""
-    _check_range(series1, x)
-    _check_range(series2, x)
-    _, t1, t2 = common_good(series1, series2, x)
-    in1 = (t1 >= i1.alpha) & (t1 <= i1.beta)
-    in2 = (t2 >= i2.alpha) & (t2 <= i2.beta)
-    return int(np.count_nonzero(in1 & in2))
+    _, t1, t2 = series1.common_good(series2, x)
+    return _joint_count(t1, t2, i1, i2)
 
 
 # -- exact interval discrepancy -------------------------------------------------
@@ -100,27 +91,18 @@ def uniform_interval_discrepancy(u: np.ndarray) -> float:
 
 def exact_discrepancy_1d(series: AngleSeries, x: int) -> float:
     """Exact all-interval discrepancy of {F_ST(theta_p) : p <= x} vs uniform."""
-    _check_range(series, x)
+    series.check_range(x)
     _, thetas = series.upto(x)
-    if thetas.size == 0:
-        return 0.0
     return uniform_interval_discrepancy(st_cdf(thetas))
 
 
-def erdos_turan_bound(series: AngleSeries, x: int, M: int) -> float:
-    """One-dimensional Erdos-Turan bound for the CDF-transformed angles.
-
-    1/(M+1) + (3/n) sum_{m<=M} |S_m|/m with S_m = sum_p e(m u_p); dominates
-    the exact all-interval discrepancy for every point set and every M >= 1.
-    """
+def _erdos_turan(u: np.ndarray, M: int) -> float:
     if M < 1:
         raise ValueError("M must be >= 1")
-    _check_range(series, x)
-    _, thetas = series.upto(x)
-    n = thetas.size
+    n = u.size
     if n == 0:
         raise ValueError("series has no points up to x")
-    base = np.exp(2j * math.pi * st_cdf(thetas))
+    base = np.exp(2j * math.pi * u)
     # e(m u) = e(u)^m: one running product keeps memory at O(n) for any M;
     # the unit-modulus drift is ~M eps, far below every tolerance in play
     cur = np.ones_like(base)
@@ -129,6 +111,17 @@ def erdos_turan_bound(series: AngleSeries, x: int, M: int) -> float:
         cur = cur * base
         total += abs(cur.sum()) / m
     return 1.0 / (M + 1) + (3.0 / n) * total
+
+
+def erdos_turan_bound(series: AngleSeries, x: int, M: int) -> float:
+    """One-dimensional Erdos-Turan bound for the CDF-transformed angles.
+
+    1/(M+1) + (3/n) sum_{m<=M} |S_m|/m with S_m = sum_p e(m u_p); dominates
+    the exact all-interval discrepancy for every point set and every M >= 1.
+    """
+    series.check_range(x)
+    _, thetas = series.upto(x)
+    return _erdos_turan(st_cdf(thetas), M)
 
 
 # -- Chebyshev-sum bound shapes ---------------------------------------------------
@@ -152,10 +145,10 @@ def cheb_sum_bound(
         raise ValueError("M must be >= 3")
     if c_et1 <= 0:
         raise ValueError("c_et1 must be positive")
-    _check_range(series, x)
+    series.check_range(x)
     _, thetas = series.upto(x)
-    table = cheb_u_table(M, thetas)
-    sums = np.abs(table[1:].sum(axis=1))
+    # U_1 .. U_M, each summed as it is made, so no (M+1) x n table is held
+    sums = np.abs([np.sum(row) for row in islice(cheb_u_rows(M, thetas), 1, None)])
     ms = np.arange(1, M + 1)
     return c_et1 * (pi_of_x(series, x) / M + float(np.sum(sums / ms)))
 
@@ -173,17 +166,19 @@ def cheb_sum_bound_2d(
     taken over primes good for both forms; marginal pairs (m, 0) and (0, m)
     are included, so M = 3 expands to 15 terms.
     """
+    _, t1, t2 = series1.common_good(series2, x)
+    return _cheb2_bound(t1, t2, M, c_et2, pi_of_x(series1, x))
+
+
+def _cheb2_bound(t1: np.ndarray, t2: np.ndarray, M: int, c_et2: float, pi_x: int) -> float:
     if M < 3:
         raise ValueError("M must be >= 3")
-    _, t1, t2 = common_good(series1, series2, x)
-    _check_range(series1, x)
-    _check_range(series2, x)
     u1 = cheb_u_table(M, t1)
     u2 = cheb_u_table(M, t2)
     cross = np.abs(u1 @ u2.T)  # (M+1, M+1); [m1, m2] = |sum_p U_m1 U_m2|
     weights = 1.0 / np.outer(np.arange(1, M + 2), np.arange(1, M + 2))
     total = float(np.sum(cross * weights) - cross[0, 0] * weights[0, 0])
-    return float(c_et2 * (pi_of_x(series1, x) / M + total))
+    return float(c_et2 * (pi_x / M + total))
 
 
 def joint_box_discrepancy(
@@ -196,30 +191,38 @@ def joint_box_discrepancy(
     restriction to lattice corners under-resolves the true sup by at most
     2 * (2/G) by continuity of the uniform measure.
     """
+    _, t1, t2 = series1.common_good(series2, x)
+    return _box_discrepancy(t1, t2, grid)
+
+
+# elements per block of the box sweep: 8 MB per float64 temporary
+_BOX_BLOCK = 1 << 20
+
+
+def _box_discrepancy(t1: np.ndarray, t2: np.ndarray, grid: int) -> float:
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    _check_range(series1, x)
-    _check_range(series2, x)
-    _, t1, t2 = common_good(series1, series2, x)
     n = t1.size
     if n == 0:
         return 0.0
     u = np.clip((st_cdf(t1) * grid).astype(np.int64), 0, grid - 1)
     v = np.clip((st_cdf(t2) * grid).astype(np.int64), 0, grid - 1)
-    hist = np.zeros((grid, grid))
-    np.add.at(hist, (u, v), 1.0)
-    # prefix[i, j] = #points with u-bin < i, v-bin < j
+    hist = np.bincount(u * grid + v, minlength=grid * grid).reshape(grid, grid)
+    # prefix[i, j] = #points with u-bin < i, v-bin < j (exact integers)
     prefix = np.zeros((grid + 1, grid + 1))
     prefix[1:, 1:] = hist.cumsum(axis=0).cumsum(axis=1)
     edges = np.arange(grid + 1) / grid
+    # every corner pair a < b of one axis; boxes are [i1, i2) x [j1, j2)
+    lo, hi = np.triu_indices(grid + 1, k=1)
+    widths = edges[hi] - edges[lo]
+    step = max(1, _BOX_BLOCK // lo.size)
     worst = 0.0
-    for i1 in range(grid):
-        for i2 in range(i1 + 1, grid + 1):
-            row = prefix[i2] - prefix[i1]  # counts in u-range, cumulative in v
-            counts = row[None, :] - row[:, None]  # [j1, j2]
-            areas = (edges[i2] - edges[i1]) * (edges[None, :] - edges[:, None])
-            dev = np.abs(counts / n - areas)
-            worst = max(worst, float(np.max(np.triu(dev, k=1))))
+    for s in range(0, lo.size, step):
+        block = slice(s, s + step)
+        rows = prefix[hi[block]] - prefix[lo[block]]  # counts in the u-range, cumulative in v
+        counts = rows[:, hi] - rows[:, lo]  # [u-range, (j1, j2)]
+        areas = widths[block, None] * widths[None, :]
+        worst = max(worst, float(np.max(np.abs(counts / n - areas))))
     return worst
 
 
@@ -307,8 +310,6 @@ def theoretical_bound_curve(
     lx = math.log(x)
     if variant == "unconditional-st1":
         if pi_x is None:
-            from satotate.primes import prime_count
-
             pi_x = prime_count(x)
         return c * pi_x * math.log(k * q * lx) / math.sqrt(lx)
     if variant == "grh-thm13":
@@ -389,14 +390,16 @@ def discrepancy_report(
     pi_x = pi_of_x(series, x)
     count = count_in_interval(series, interval, x)
     expected = mu_st(interval) * pi_x
+    _, thetas = series.upto(x)
+    u = st_cdf(thetas)  # shared by the exact and the Erdos-Turan columns
     return DiscrepancyReport(
         x=x,
         pi_x=pi_x,
         count=count,
         expected=expected,
         error_abs=abs(count - expected),
-        exact_sup_discrepancy=exact_discrepancy_1d(series, x),
-        et_bound=erdos_turan_bound(series, x, M),
+        exact_sup_discrepancy=uniform_interval_discrepancy(u),
+        et_bound=_erdos_turan(u, M),
         cheb_bound=cheb_sum_bound(series, x, M, c_et1),
     )
 
@@ -412,7 +415,8 @@ def joint_report(
     c_et2: float = DEFAULT_ET_CONSTANT,
 ) -> JointReport:
     pi_x = pi_of_x(series1, x)
-    jc = joint_count(series1, series2, i1, i2, x)
+    _, t1, t2 = series1.common_good(series2, x)  # shared by every column
+    jc = _joint_count(t1, t2, i1, i2)
     expected = mu_st(i1) * mu_st(i2) * pi_x
     return JointReport(
         x=x,
@@ -420,6 +424,6 @@ def joint_report(
         joint_count=jc,
         expected=expected,
         error_abs=abs(jc - expected),
-        box_discrepancy_grid=joint_box_discrepancy(series1, series2, x, grid),
-        cheb2_bound=cheb_sum_bound_2d(series1, series2, x, M, c_et2),
+        box_discrepancy_grid=_box_discrepancy(t1, t2, grid),
+        cheb2_bound=_cheb2_bound(t1, t2, M, c_et2, pi_x),
     )

@@ -102,33 +102,52 @@ def _cheb_u_recurrence(m: int, x):
     return u
 
 
+class ChebU:
+    """U_m(cos theta) for one theta array and any m, sharing the per-theta work.
+
+    The ENDPOINT_COLLAR split, sin(theta) on the interior and cos(theta) in
+    the collar are computed once; each call then costs one sine per interior
+    point (plus the recurrence in the collar).  ``ChebU(theta)(m)`` equals
+    ``cheb_u(m, theta)`` bit for bit.
+    """
+
+    def __init__(self, theta) -> None:
+        theta = np.asarray(theta, dtype=float)
+        self._shape = theta.shape
+        self._near_edge = (theta < ENDPOINT_COLLAR) | (theta > math.pi - ENDPOINT_COLLAR)
+        self._all_interior = not self._near_edge.any()
+        self._interior = ~self._near_edge
+        self._t = theta if self._all_interior else theta[self._interior]
+        self._sin_t = np.sin(self._t)
+        self._cos_edge = np.cos(theta[self._near_edge])
+
+    def __call__(self, m: int) -> np.ndarray:
+        if m < 0:
+            raise ValueError("m must be >= 0")
+        if m > M_MAX:
+            raise ValueError(f"m must be <= {M_MAX}")
+        if m == 0:
+            return np.ones(self._shape)
+        inner = np.sin((m + 1) * self._t) / self._sin_t
+        if self._all_interior:
+            return inner
+        out = np.empty(self._shape)
+        out[self._interior] = inner
+        out[self._near_edge] = _cheb_u_recurrence(m, self._cos_edge)
+        return out
+
+
 def cheb_u(m: int, theta):
     """U_m(cos theta) for theta in [0, pi]; scalar or array.
 
     Uses the sine-ratio form except within ENDPOINT_COLLAR of the endpoints,
     where the recurrence (with exact limit values U_m(+-1) = (+-1)^m (m+1))
-    takes over.
+    takes over.  For many m on one theta array, call a ChebU instead.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if m > M_MAX:
-        raise ValueError(f"m must be <= {M_MAX}")
     theta_arr = np.asarray(theta, dtype=float)
-    scalar = theta_arr.ndim == 0
-    theta_arr = np.atleast_1d(theta_arr)
-    if m == 0:
-        out = np.ones_like(theta_arr)
-        return float(out[0]) if scalar else out
-
-    out = np.empty_like(theta_arr)
-    near_edge = (theta_arr < ENDPOINT_COLLAR) | (theta_arr > math.pi - ENDPOINT_COLLAR)
-    interior = ~near_edge
-    if np.any(interior):
-        t = theta_arr[interior]
-        out[interior] = np.sin((m + 1) * t) / np.sin(t)
-    if np.any(near_edge):
-        out[near_edge] = _cheb_u_recurrence(m, np.cos(theta_arr[near_edge]))
-    return float(out[0]) if scalar else out
+    flat = np.atleast_1d(theta_arr)
+    out = np.ones_like(flat) if m == 0 else ChebU(flat)(m)
+    return float(out[0]) if theta_arr.ndim == 0 else out
 
 
 def cheb_u_table(m_max: int, theta: np.ndarray) -> np.ndarray:
@@ -142,13 +161,28 @@ def cheb_u_table(m_max: int, theta: np.ndarray) -> np.ndarray:
         raise ValueError("m_max must be >= 0")
     theta = np.asarray(theta, dtype=float)
     table = np.empty((m_max + 1, theta.size))
-    table[0] = 1.0
-    if m_max >= 1:
-        x2 = 2.0 * np.cos(theta)
-        table[1] = x2
-        for m in range(2, m_max + 1):
-            table[m] = x2 * table[m - 1] - table[m - 2]
+    for m, row in enumerate(cheb_u_rows(m_max, theta)):
+        table[m] = row
     return table
+
+
+def cheb_u_rows(m_max: int, theta):
+    """Yield U_0(cos theta) .. U_{m_max}(cos theta), one row at a time.
+
+    The recurrence of cheb_u_table, keeping two rows: for callers that reduce
+    each row and need no (m_max+1) x n table.
+    """
+    theta = np.asarray(theta, dtype=float)
+    prev = np.ones(theta.shape)
+    yield prev
+    if m_max < 1:
+        return
+    x2 = 2.0 * np.cos(theta)
+    cur = x2
+    yield cur
+    for _ in range(2, m_max + 1):
+        prev, cur = cur, x2 * cur - prev
+        yield cur
 
 
 def gauss_legendre_nodes(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:

@@ -20,14 +20,13 @@ import numpy as np
 
 from satotate.angles import AngleSeries
 from satotate.errors import BadPrime, RangeExceeded
-from satotate.measure import cheb_u, gauss_legendre_nodes
+from satotate.measure import ChebU, cheb_u, gauss_legendre_nodes
 
 LONGDOUBLE = np.longdouble
 
 
 def _good_upto(series: AngleSeries, x: int) -> tuple[np.ndarray, np.ndarray]:
-    if x > series.x_max:
-        raise RangeExceeded(f"x = {x} exceeds series coverage x_max = {series.x_max}")
+    series.check_range(x)
     return series.upto(x)
 
 
@@ -52,17 +51,20 @@ def cheb_prime_sum(series: AngleSeries, m: int, x: int) -> tuple[float, float]:
 
 def theta_joint(series1: AngleSeries, series2: AngleSeries, m1: int, m2: int, x: int) -> float:
     """Joint weighted sum over primes good for both forms."""
-    from satotate.discrepancy import common_good
-
-    if x > series1.x_max or x > series2.x_max:
-        raise RangeExceeded("x exceeds coverage of at least one series")
-    ps, t1, t2 = common_good(series1, series2, x)
+    ps, t1, t2 = series1.common_good(series2, x)
     if ps.size == 0:
         return 0.0
     return float(np.sum(cheb_u(m1, t1) * cheb_u(m2, t2) * np.log(ps)))
 
 
-def _residual_from_terms(w: np.ndarray, logp: np.ndarray, x: int) -> float:
+def _residual_factors(logp: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray, LONGDOUBLE]:
+    """(log p, 1/log p - 1/log x, log x) in extended precision: the w-free part of a residual."""
+    lx = LONGDOUBLE(math.log(x))
+    logp_ld = logp.astype(LONGDOUBLE)
+    return logp_ld, 1.0 / logp_ld - LONGDOUBLE(1.0) / lx, lx
+
+
+def _residual(w: np.ndarray, logp_ld: np.ndarray, factor: np.ndarray, lx: LONGDOUBLE) -> float:
     """|LHS - RHS| of the partial-summation identity for term weights w * log p.
 
     LHS is sum w_p; RHS routes through theta(x)/log x minus the integral of
@@ -71,14 +73,10 @@ def _residual_from_terms(w: np.ndarray, logp: np.ndarray, x: int) -> float:
     identical, so the returned value is pure floating-point noise; sums are
     accumulated in extended precision to keep it far below 1e-9 relative.
     """
-    lx = math.log(x)
     w_ld = w.astype(LONGDOUBLE)
-    logp_ld = logp.astype(LONGDOUBLE)
-    lhs = np.sum(w_ld)
-    weighted = np.sum(w_ld * logp_ld)
-    integral = np.sum(w_ld * logp_ld * (1.0 / logp_ld - LONGDOUBLE(1.0) / LONGDOUBLE(lx)))
-    rhs = weighted / LONGDOUBLE(lx) + integral
-    return float(abs(lhs - rhs))
+    terms = w_ld * logp_ld
+    rhs = np.sum(terms) / lx + np.sum(terms * factor)
+    return float(abs(np.sum(w_ld) - rhs))
 
 
 def partial_summation_residual(series: AngleSeries, m: int, x: int) -> float:
@@ -88,23 +86,45 @@ def partial_summation_residual(series: AngleSeries, m: int, x: int) -> float:
     ps, thetas = _good_upto(series, x)
     if ps.size == 0:
         return 0.0
-    return _residual_from_terms(cheb_u(m, thetas), np.log(ps), x)
+    return _residual(cheb_u(m, thetas), *_residual_factors(np.log(ps), x))
+
+
+def cheb_sum_rows(series: AngleSeries, ms, x: int) -> list[tuple[int, float, float, float]]:
+    """(m, sum_plain, sum_weighted, residual) for each m in ms, at one x.
+
+    Each row equals (m, *cheb_prime_sum(series, m, x),
+    partial_summation_residual(series, m, x)) bit for bit, with the same
+    errors, but U_m is evaluated once per m, and log p, the sine-ratio split
+    and the extended-precision factor 1/log p - 1/log x once per x.
+    """
+    ps, thetas = _good_upto(series, x)
+    if ps.size == 0:
+        rows = [(m, 0.0, 0.0, 0.0) for m in ms]
+        if rows and x < 3:
+            raise ValueError("x must be >= 3")
+        return rows
+    cheb = ChebU(thetas)
+    logp = np.log(ps)
+    factors = _residual_factors(logp, x) if x >= 3 else None
+    rows = []
+    for m in ms:
+        u = cheb(m)
+        if factors is None:
+            raise ValueError("x must be >= 3")
+        rows.append((m, float(np.sum(u)), float(np.sum(u * logp)), _residual(u, *factors)))
+    return rows
 
 
 def partial_summation_residual_joint(
     series1: AngleSeries, series2: AngleSeries, m1: int, m2: int, x: int
 ) -> float:
     """Residual of the joint partial-summation identity."""
-    from satotate.discrepancy import common_good
-
     if x < 3:
         raise ValueError("x must be >= 3")
-    if x > series1.x_max or x > series2.x_max:
-        raise RangeExceeded("x exceeds coverage of at least one series")
-    ps, t1, t2 = common_good(series1, series2, x)
+    ps, t1, t2 = series1.common_good(series2, x)
     if ps.size == 0:
         return 0.0
-    return _residual_from_terms(cheb_u(m1, t1) * cheb_u(m2, t2), np.log(ps), x)
+    return _residual(cheb_u(m1, t1) * cheb_u(m2, t2), *_residual_factors(np.log(ps), x))
 
 
 def lambda_sym(series: AngleSeries, m: int, p: int, ell: int) -> float:

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,17 @@ def test_coeff_file_rejections(tmp_path, body, normalized, reason):
     with pytest.raises(FormatError, match=reason) as exc:
         read_coeff_file(path)
     assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("entry", ["3 x", "3 -1 4", "3", "3.0 1", "3 1_0"])
+def test_coeff_file_bad_entry_names_its_file_line(tmp_path, entry):
+    # a bad token and a wrong field count are both named by the file's own line
+    # number, which counts the header, comments and blank lines; an '_' in an
+    # earlier entry's comment does not make that entry the bad one
+    path = tmp_path / "bad.coeffs"
+    path.write_text(HEADER.format("false") + f"2 1  # a_p\n# note\n\n{entry}  # why\n5 1\n")
+    with pytest.raises(FormatError, match=re.escape(f"expected 'p a_p' entries: line 9 reads '{entry}  # why'")):
+        read_coeff_file(path)
 
 
 def test_coeff_file_repeated_header_key(tmp_path):

@@ -379,3 +379,15 @@ def test_joint_report_fields(series_11a1_small, series_37a1_small):
         "cheb2_bound",
     }
     assert rep.joint_count <= rep.pi_x
+
+
+def test_pi_of_x_factors_each_level_once():
+    from satotate.discrepancy import _level_prime_divisors
+
+    series = synthetic_series(200, seed=3, level=7907 * 7919)
+    before = _level_prime_divisors.cache_info()
+    counts = [pi_of_x(series, x) for x in (1, 2, 100, series.x_max)]
+    after = _level_prime_divisors.cache_info()
+    assert after.misses - before.misses <= 1 and after.hits - before.hits >= 3
+    assert _level_prime_divisors(7907 * 7919) == (7907, 7919)
+    assert counts == [0, 1, 25, 200]  # both ramified primes lie above x_max = 1223
