@@ -37,16 +37,12 @@ class FormMeta:
     label: str
     weight_k: int
     level_q: int
-    source: str  # "curve" | "file"
-    cm_asserted_false: bool = True
 
     def __post_init__(self) -> None:
         if self.weight_k < 2 or self.weight_k % 2 != 0:
             raise ValueError("weight must be an even integer >= 2")
         if self.level_q < 1:
             raise ValueError("level must be >= 1")
-        if self.source not in ("curve", "file"):
-            raise ValueError("source must be 'curve' or 'file'")
 
 
 @dataclass(eq=False)
@@ -74,19 +70,14 @@ class AngleSeries:
         return int(self.primes.size)
 
     def upto(self, x: int) -> tuple[np.ndarray, np.ndarray]:
-        """(primes, thetas) restricted to p <= x."""
+        """(primes, thetas) restricted to p <= x; RangeExceeded when x lies beyond x_max."""
+        if x > self.x_max:
+            raise RangeExceeded(f"x = {x} exceeds series coverage x_max = {self.x_max}")
         k = int(np.searchsorted(self.primes, x, side="right"))
         return self.primes[:k], self.thetas[:k]
 
-    def check_range(self, x: int) -> None:
-        """Raise RangeExceeded when x lies beyond the series coverage x_max."""
-        if x > self.x_max:
-            raise RangeExceeded(f"x = {x} exceeds series coverage x_max = {self.x_max}")
-
     def common_good(self, other: "AngleSeries", x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(primes, thetas, other's thetas) over primes <= x good for both series."""
-        self.check_range(x)
-        other.check_range(x)
         p1, t1 = self.upto(x)
         p2, t2 = other.upto(x)
         pos, found = _find(p2, p1)
@@ -147,15 +138,12 @@ def build_angle_series(
     source: "CurveSpec | str | Path",
     x_max: int,
     label: str | None = None,
-    cm_asserted_false: bool = True,
 ) -> AngleSeries:
     """Complete angle series for all good primes <= x_max.
 
     ``source`` is either a CurveSpec (a_p by point counting; weight 2) or the
     path of a coefficient file.  Curve a_p come from one ec_ap_array call
     and are exact, so the output is a pure function of (source, x_max).
-    Non-CM is the caller's assertion; pass cm_asserted_false=False to record
-    that it was not made.
     """
     if x_max < 2:
         raise ValueError("x_max must be >= 2")
@@ -163,7 +151,7 @@ def build_angle_series(
         return _series_from_coeff_file(Path(source), x_max)
 
     curve = source
-    meta = FormMeta(label or curve.label, 2, curve.conductor, "curve", cm_asserted_false)
+    meta = FormMeta(label or curve.label, 2, curve.conductor)
     ps = primes_array(2, x_max)
     good = ps[curve.conductor % ps != 0]
     thetas = angle_from_ap(ec_ap_array(curve, good), good, 2)
@@ -239,7 +227,7 @@ def read_coeff_file(path: Path) -> tuple[FormMeta, np.ndarray, np.ndarray, bool]
         raise FormatError(
             f"{path}: p must be positive and strictly ascending, got p = {primes[i]} at entry {i + 1}"
         )
-    meta = FormMeta(header["label"], weight, level, "file")
+    meta = FormMeta(header["label"], weight, level)
     return meta, primes, aps, normalized
 
 
@@ -361,23 +349,25 @@ def load_cache(path: "str | Path", label: str = "") -> AngleSeries:
     """Read a STAN cache back into an AngleSeries (bit-exact on records)."""
     path = Path(path)
     try:
-        blob = path.read_bytes()
+        fh = open(path, "rb")
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    if len(blob) < _HEADER.size:
-        raise FormatError(f"{path}: truncated header ({len(blob)} bytes)")
-    magic, version, level, weight, _reserved, x_max, count = _HEADER.unpack_from(blob)
-    if magic != CACHE_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {CACHE_MAGIC!r}")
-    if version != CACHE_VERSION:
-        raise FormatError(f"{path}: version {version} found, expected {CACHE_VERSION}")
-    body = blob[_HEADER.size :]
-    if len(body) != count * _RECORD_DTYPE.itemsize:
-        raise FormatError(
-            f"{path}: truncated body: {len(body)} bytes for {count} records"
-        )
-    records = np.frombuffer(body, dtype=_RECORD_DTYPE)
-    meta = FormMeta(label or path.stem, int(weight), int(level), "file")
+    with fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise FormatError(f"{path}: truncated header ({len(head)} bytes)")
+        magic, version, level, weight, _reserved, x_max, count = _HEADER.unpack(head)
+        if magic != CACHE_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}, expected {CACHE_MAGIC!r}")
+        if version != CACHE_VERSION:
+            raise FormatError(f"{path}: version {version} found, expected {CACHE_VERSION}")
+        body_size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if body_size != count * _RECORD_DTYPE.itemsize:
+            raise FormatError(
+                f"{path}: truncated body: {body_size} bytes for {count} records"
+            )
+        records = np.fromfile(fh, dtype=_RECORD_DTYPE, count=count)
+    meta = FormMeta(label or path.stem, int(weight), int(level))
     try:
         return AngleSeries(
             meta,

@@ -122,10 +122,6 @@ def write_rows(rows: list[dict], columns: list[str], fmt: str, out, command: str
         Path(out).write_text(text, encoding="utf-8")
 
 
-def load_series_arg(path: str) -> AngleSeries:
-    return load_cache(path)
-
-
 # -- subcommand implementations --------------------------------------------------
 
 
@@ -153,14 +149,14 @@ def cmd_simulate(args) -> int:
     rng = np.random.default_rng(args.seed)
     ps = primes_array(2, args.xmax)
     thetas = st_quantile(rng.uniform(0.0, 1.0, ps.size))
-    series = AngleSeries(FormMeta(f"sim{args.seed}", 2, 1, "file"), args.xmax, ps, thetas)
+    series = AngleSeries(FormMeta(f"sim{args.seed}", 2, 1), args.xmax, ps, thetas)
     save_cache(series, args.out)
     print(f"wrote {args.out}: {len(series)} simulated points (seed={args.seed})")
     return 0
 
 
 def cmd_verify(args) -> int:
-    series = load_series_arg(args.cache)
+    series = load_cache(args.cache)
     interval = parse_interval(args.interval)
     threads = resolve_threads(args)
     xs = parse_x_list(args.x)
@@ -190,8 +186,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_joint(args) -> int:
-    s1 = load_series_arg(args.cache1)
-    s2 = load_series_arg(args.cache2)
+    s1 = load_cache(args.cache1)
+    s2 = load_cache(args.cache2)
     i1 = parse_interval(args.interval1)
     i2 = parse_interval(args.interval2)
     rows = [
@@ -203,9 +199,11 @@ def cmd_joint(args) -> int:
 
 
 def cmd_least_prime(args) -> int:
+    if (args.cache is None) == (args.curve is None):
+        raise UsageError("give exactly one of --cache / --curve")
     interval = parse_interval(args.interval)
     if args.cache is not None:
-        source = load_series_arg(args.cache)
+        source = load_cache(args.cache)
     else:
         source = parse_curve(args.curve, args.conductor, args.label or "curve")
     result = least_prime_in_interval(source, interval, ceiling=args.ceiling, c=args.c)
@@ -214,20 +212,21 @@ def cmd_least_prime(args) -> int:
 
 
 def cmd_cheb_sums(args) -> int:
-    if args.m_min > args.m:
-        raise UsageError(f"--m-min {args.m_min} exceeds --m {args.m}")
-    series = load_series_arg(args.cache)
+    m_min = args.m if args.m_min is None else args.m_min
+    if m_min > args.m:
+        raise UsageError(f"--m-min {m_min} exceeds --m {args.m}")
+    series = load_cache(args.cache)
     rows = [
         {"m": m, "x": x, "sum_plain": plain, "sum_weighted": weighted, "partial_summation_residual": residual}
         for x in parse_x_list(args.x)
-        for m, plain, weighted, residual in prime_sums.cheb_sum_rows(series, range(args.m_min, args.m + 1), x)
+        for m, plain, weighted, residual in prime_sums.cheb_sum_rows(series, range(m_min, args.m + 1), x)
     ]
     write_rows(rows, list(rows[0].keys()), args.format, args.out, "cheb-sums")
     return 0
 
 
 def cmd_smooth(args) -> int:
-    series = load_series_arg(args.cache)
+    series = load_cache(args.cache)
     if args.preset == "paper-proof":
         weight = prime_sums.paper_proof_weight(args.x, max(args.m, 1))
     else:
@@ -368,8 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "m_min", None) is None and args.command == "cheb-sums":
-        args.m_min = args.m
     try:
         return args.func(args)
     except UsageError as exc:

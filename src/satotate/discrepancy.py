@@ -10,7 +10,7 @@ value is never below 1/n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import islice
 
@@ -47,7 +47,6 @@ def pi_of_x(series: AngleSeries, x: int) -> int:
 
 def count_in_interval(series: AngleSeries, interval: Interval, x: int) -> int:
     """pi_{f,I}(x): good primes p <= x with theta_p in the closed interval."""
-    series.check_range(x)
     _, thetas = series.upto(x)
     return int(np.count_nonzero((thetas >= interval.alpha) & (thetas <= interval.beta)))
 
@@ -91,7 +90,6 @@ def uniform_interval_discrepancy(u: np.ndarray) -> float:
 
 def exact_discrepancy_1d(series: AngleSeries, x: int) -> float:
     """Exact all-interval discrepancy of {F_ST(theta_p) : p <= x} vs uniform."""
-    series.check_range(x)
     _, thetas = series.upto(x)
     return uniform_interval_discrepancy(st_cdf(thetas))
 
@@ -119,7 +117,6 @@ def erdos_turan_bound(series: AngleSeries, x: int, M: int) -> float:
     1/(M+1) + (3/n) sum_{m<=M} |S_m|/m with S_m = sum_p e(m u_p); dominates
     the exact all-interval discrepancy for every point set and every M >= 1.
     """
-    series.check_range(x)
     _, thetas = series.upto(x)
     return _erdos_turan(st_cdf(thetas), M)
 
@@ -145,7 +142,6 @@ def cheb_sum_bound(
         raise ValueError("M must be >= 3")
     if c_et1 <= 0:
         raise ValueError("c_et1 must be positive")
-    series.check_range(x)
     _, thetas = series.upto(x)
     # U_1 .. U_M, each summed as it is made, so no (M+1) x n table is held
     sums = np.abs([np.sum(row) for row in islice(cheb_u_rows(M, thetas), 1, None)])
@@ -346,16 +342,7 @@ class DiscrepancyReport:
     cheb_bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "pi_x": self.pi_x,
-            "count": self.count,
-            "expected": self.expected,
-            "error_abs": self.error_abs,
-            "exact_sup_discrepancy": self.exact_sup_discrepancy,
-            "et_bound": self.et_bound,
-            "cheb_bound": self.cheb_bound,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -369,15 +356,7 @@ class JointReport:
     cheb2_bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "pi_x": self.pi_x,
-            "joint_count": self.joint_count,
-            "expected": self.expected,
-            "error_abs": self.error_abs,
-            "box_discrepancy_grid": self.box_discrepancy_grid,
-            "cheb2_bound": self.cheb2_bound,
-        }
+        return asdict(self)
 
 
 def discrepancy_report(

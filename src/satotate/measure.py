@@ -91,23 +91,12 @@ def st_quantile(u):
     return float(out[0]) if u.ndim == 0 else out.reshape(u.shape)
 
 
-def _cheb_u_recurrence(m: int, x):
-    """U_m(x) by the three-term recurrence; stable near x = +-1."""
-    u_prev = np.ones_like(x)
-    if m == 0:
-        return u_prev
-    u = 2.0 * x
-    for _ in range(m - 1):
-        u_prev, u = u, 2.0 * x * u - u_prev
-    return u
-
-
 class ChebU:
     """U_m(cos theta) for one theta array and any m, sharing the per-theta work.
 
-    The ENDPOINT_COLLAR split, sin(theta) on the interior and cos(theta) in
-    the collar are computed once; each call then costs one sine per interior
-    point (plus the recurrence in the collar).  ``ChebU(theta)(m)`` equals
+    The ENDPOINT_COLLAR split and sin(theta) on the interior are computed
+    once; each call then costs one sine per interior point (plus the
+    cheb_u_rows recurrence in the collar).  ``ChebU(theta)(m)`` equals
     ``cheb_u(m, theta)`` bit for bit.
     """
 
@@ -119,7 +108,7 @@ class ChebU:
         self._interior = ~self._near_edge
         self._t = theta if self._all_interior else theta[self._interior]
         self._sin_t = np.sin(self._t)
-        self._cos_edge = np.cos(theta[self._near_edge])
+        self._edge = theta[self._near_edge]
 
     def __call__(self, m: int) -> np.ndarray:
         if m < 0:
@@ -133,7 +122,8 @@ class ChebU:
             return inner
         out = np.empty(self._shape)
         out[self._interior] = inner
-        out[self._near_edge] = _cheb_u_recurrence(m, self._cos_edge)
+        *_, u_m = cheb_u_rows(m, self._edge)  # the last row is U_m
+        out[self._near_edge] = u_m
         return out
 
 

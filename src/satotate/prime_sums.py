@@ -25,24 +25,16 @@ from satotate.measure import ChebU, cheb_u, gauss_legendre_nodes
 LONGDOUBLE = np.longdouble
 
 
-def _good_upto(series: AngleSeries, x: int) -> tuple[np.ndarray, np.ndarray]:
-    series.check_range(x)
-    return series.upto(x)
-
-
 def theta_fm(series: AngleSeries, m: int, x: int) -> float:
-    """theta_{f,m}(x) = sum over good p <= x of U_m(cos theta_p) log p."""
+    """theta_{f,m}(x) = sum over good p <= x of U_m(cos theta_p) log p: cheb_prime_sum's weighted sum."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    ps, thetas = _good_upto(series, x)
-    if ps.size == 0:
-        return 0.0
-    return float(np.sum(cheb_u(m, thetas) * np.log(ps)))
+    return cheb_prime_sum(series, m, x)[1]
 
 
 def cheb_prime_sum(series: AngleSeries, m: int, x: int) -> tuple[float, float]:
     """(plain, weighted): sum of U_m(cos theta_p) and of U_m(cos theta_p) log p."""
-    ps, thetas = _good_upto(series, x)
+    ps, thetas = series.upto(x)
     if ps.size == 0:
         return 0.0, 0.0
     u = cheb_u(m, thetas)
@@ -81,23 +73,18 @@ def _residual(w: np.ndarray, logp_ld: np.ndarray, factor: np.ndarray, lx: LONGDO
 
 def partial_summation_residual(series: AngleSeries, m: int, x: int) -> float:
     """Residual of sum U_m = theta_{f,m}(x)/log x - int_2^x theta_{f,m}(t)/(t log^2 t) dt."""
-    if x < 3:
-        raise ValueError("x must be >= 3")
-    ps, thetas = _good_upto(series, x)
-    if ps.size == 0:
-        return 0.0
-    return _residual(cheb_u(m, thetas), *_residual_factors(np.log(ps), x))
+    return cheb_sum_rows(series, [m], x)[0][3]
 
 
 def cheb_sum_rows(series: AngleSeries, ms, x: int) -> list[tuple[int, float, float, float]]:
     """(m, sum_plain, sum_weighted, residual) for each m in ms, at one x.
 
-    Each row equals (m, *cheb_prime_sum(series, m, x),
-    partial_summation_residual(series, m, x)) bit for bit, with the same
-    errors, but U_m is evaluated once per m, and log p, the sine-ratio split
-    and the extended-precision factor 1/log p - 1/log x once per x.
+    The sums of each row equal cheb_prime_sum(series, m, x) bit for bit;
+    U_m is evaluated once per m, and log p, the sine-ratio split and the
+    extended-precision factor 1/log p - 1/log x once per x.  x < 3 raises
+    ValueError unless ms is empty.
     """
-    ps, thetas = _good_upto(series, x)
+    ps, thetas = series.upto(x)
     if ps.size == 0:
         rows = [(m, 0.0, 0.0, 0.0) for m in ms]
         if rows and x < 3:
@@ -142,13 +129,12 @@ def lambda_sym(series: AngleSeries, m: int, p: int, ell: int) -> float:
         theta = series.theta_at(p)
     except KeyError:
         raise BadPrime(f"{p} is not a good prime of the series") from None
-    # reduce ell*theta mod 2*pi into [0, pi] by evenness of cos
-    t = math.fmod(ell * theta, 2.0 * math.pi)
-    if t < 0:
-        t += 2.0 * math.pi
-    if t > math.pi:
-        t = 2.0 * math.pi - t
-    return cheb_u(m, t) * math.log(p)
+    return cheb_u(m, _fold(ell * theta)) * math.log(p)
+
+
+def _fold(angle):
+    """angle reduced mod 2 pi into [0, pi], by the evenness of cos; scalar or array."""
+    return np.abs(np.mod(angle + math.pi, 2.0 * math.pi) - math.pi)
 
 
 # -- the smoothing weight ------------------------------------------------------
@@ -207,43 +193,20 @@ def _irwin_hall_coeffs(ell: int) -> tuple[tuple[float, float], ...]:
     return tuple(((-1) ** k * math.comb(ell, k) / fact, float(k)) for k in range(ell + 1))
 
 
-def _irwin_hall_cdf(y: float, ell: int) -> float:
-    """P(Y_1 + ... + Y_ell <= y) for iid uniform Y_i on [0, 1]."""
-    if y <= 0.0:
-        return 0.0
-    if y >= ell:
-        return 1.0
-    total = 0.0
-    for coeff, k in _irwin_hall_coeffs(ell):
-        if y > k:
-            total += coeff * (y - k) ** ell
-    return total
-
-
-def weight_phi(w: SmoothingWeight, t: float) -> float:
+def weight_phi(w: SmoothingWeight, t):
     """phi(t): 1 on [1/2, 1], polynomial edges, 0 outside the support.
 
     Realised as the difference of two scaled Irwin-Hall CDFs, i.e. the boxcar
     1_[1/2 - eps/log x, 1] convolved with ell uniform densities of width 2A.
     The plateau and the complement of the support are returned exactly; the
-    edge polynomials are clamped to [0, 1] against rounding noise.
+    edge polynomials are clamped to [0, 1] against rounding noise.  ``t`` is
+    a scalar (the result is a float) or an array; a scalar takes the array
+    path on one element, so it equals the same point of an array call.
     """
-    if 0.5 <= t <= 1.0:
-        return 1.0
-    lo, hi = w.support
-    if t <= lo or t >= hi:
-        return 0.0
+    t_arr = np.asarray(t, dtype=float)
+    t = np.atleast_1d(t_arr)
     two_a = 2.0 * w.A
     a = 0.5 - w.ell * two_a  # left end of the boxcar = 1/2 - eps/log x
-    rise = _irwin_hall_cdf((t - a) / two_a, w.ell)
-    fall = _irwin_hall_cdf((t - 1.0) / two_a, w.ell)
-    return min(1.0, max(0.0, rise - fall))
-
-
-def weight_phi_array(w: SmoothingWeight, t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    two_a = 2.0 * w.A
-    a = 0.5 - w.ell * two_a
     raw = _irwin_hall_cdf_array((t - a) / two_a, w.ell) - _irwin_hall_cdf_array(
         (t - 1.0) / two_a, w.ell
     )
@@ -251,10 +214,11 @@ def weight_phi_array(w: SmoothingWeight, t: np.ndarray) -> np.ndarray:
     out[(t >= 0.5) & (t <= 1.0)] = 1.0
     lo, hi = w.support
     out[(t <= lo) | (t >= hi)] = 0.0
-    return out
+    return float(out[0]) if t_arr.ndim == 0 else out
 
 
 def _irwin_hall_cdf_array(y: np.ndarray, ell: int) -> np.ndarray:
+    """P(Y_1 + ... + Y_ell <= y) for iid uniform Y_i on [0, 1], elementwise."""
     out = np.zeros_like(y)
     out[y >= ell] = 1.0
     mid = (y > 0.0) & (y < ell)
@@ -304,7 +268,7 @@ def weight_laplace_quadrature(w: SmoothingWeight, z: complex, nodes: int = 40) -
         if b <= a:
             continue
         xs, ws = gauss_legendre_nodes(nodes, a, b)
-        phi_vals = weight_phi_array(w, xs)
+        phi_vals = weight_phi(w, xs)
         total += complex(np.sum(ws * phi_vals * np.exp(-z * xs)))
     return total
 
@@ -350,9 +314,7 @@ def smoothed_psi(series: AngleSeries, m: int, w: SmoothingWeight) -> float:
             continue
         args = args[mask]
         logp = logp[mask]
-        scaled = ell * thetas[mask]
-        # fold ell*theta into [0, pi]
-        folded = np.abs(np.mod(scaled + math.pi, 2.0 * math.pi) - math.pi)
-        phi_vals = weight_phi_array(w, args)
+        folded = _fold(ell * thetas[mask])
+        phi_vals = weight_phi(w, args)
         total += float(np.sum(phi_vals * cheb_u(m, folded) * logp))
     return total

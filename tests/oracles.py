@@ -47,7 +47,7 @@ def synthetic_series(n: int, seed: int, level: int = 1) -> AngleSeries:
     rng = np.random.default_rng(seed)
     ps = _PRIME_POOL[:n]
     thetas = st_quantile_vec(rng.uniform(0.0, 1.0, n))
-    meta = FormMeta(f"sim{seed}", 2, level, "file")
+    meta = FormMeta(f"sim{seed}", 2, level)
     return AngleSeries(meta, int(ps[-1]), ps, thetas)
 
 

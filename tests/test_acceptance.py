@@ -46,7 +46,7 @@ from satotate.prime_sums import (
     theta_fm,
     theta_joint,
     weight_laplace,
-    weight_phi_array,
+    weight_phi,
     weight_selfcheck,
 )
 from satotate.primes import primes_array
@@ -241,7 +241,7 @@ def test_criterion_11_weight_gate():
     phi0_err = abs(phi0 - (0.5 + w.eps / w.log_x))
     in_range = 0.5 < phi0 < 0.75
     t = np.linspace(-0.5, 1.5, 100_001)
-    vals = weight_phi_array(w, t)
+    vals = weight_phi(w, t)
     lo, hi = w.support
     plateau_ok = bool(np.all(vals[(t >= 0.5) & (t <= 1.0)] == 1.0))
     support_ok = bool(np.all(vals[(t < lo) | (t > hi)] == 0.0))

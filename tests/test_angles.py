@@ -24,7 +24,7 @@ from satotate.primes import primes_array
 
 
 def toy_series(primes, thetas, level=1, x_max=None):
-    meta = FormMeta("toy", 2, level, "file")
+    meta = FormMeta("toy", 2, level)
     primes = np.asarray(primes, dtype=np.int64)
     return AngleSeries(meta, x_max or int(primes[-1]), primes, np.asarray(thetas, float))
 
@@ -277,6 +277,17 @@ def test_cache_truncation(tmp_path):
     (tmp_path / "short.stan").write_bytes(blob[:10])
     with pytest.raises(FormatError):
         load_cache(tmp_path / "short.stan")
+
+
+def test_cache_body_size_must_match_count(tmp_path):
+    path = tmp_path / "s.stan"
+    save_cache(toy_series([2, 3, 5], [0.5, 1.0, 1.5]), path)
+    blob = path.read_bytes()
+    header, records = blob[:-48], blob[-48:]  # three 16-byte records
+    for body in (records[:-1], records + b"\0"):  # one byte short, one byte too long
+        path.write_bytes(header + body)
+        with pytest.raises(FormatError, match=f"truncated body: {len(body)} bytes for 3 records"):
+            load_cache(path)
 
 
 def test_cache_bad_magic_and_version(tmp_path):

@@ -241,6 +241,14 @@ def test_least_prime_from_curve(capsys):
     assert capsys.readouterr().out.startswith("2 ")
 
 
+def test_least_prime_needs_exactly_one_source(cache_11a1, capsys):
+    base = ["least-prime", "--interval", "half"]
+    both = ["--cache", str(cache_11a1), "--curve", "0,-1,1,-10,-20", "--conductor", "11"]
+    for args in (base, base + both):
+        assert main(args) == 2
+        assert "give exactly one of --cache / --curve" in capsys.readouterr().err
+
+
 def test_cheb_sums_command(cache_11a1, tmp_path):
     out = tmp_path / "cs.csv"
     rc = main(["cheb-sums", "--cache", str(cache_11a1), "--m", "0", "--x", "100", "--out", str(out)])

@@ -34,7 +34,7 @@ MIDDLE = Interval(math.pi / 4, 3 * math.pi / 4)
 
 
 def toy_series(primes, thetas, level=1, x_max=None):
-    meta = FormMeta("toy", 2, level, "file")
+    meta = FormMeta("toy", 2, level)
     primes = np.asarray(primes, dtype=np.int64)
     return AngleSeries(meta, x_max or int(primes[-1]), primes, np.asarray(thetas, float))
 
@@ -65,6 +65,15 @@ def test_count_degenerate_interval(series_11a1_small):
 def test_count_range_exceeded(series_11a1_small):
     with pytest.raises(RangeExceeded):
         count_in_interval(series_11a1_small, HALF, 20_000)
+
+
+def test_upto_and_pi_of_x_range_exceeded(series_11a1_small):
+    s = series_11a1_small
+    assert pi_of_x(s, s.x_max) == len(s) + 1  # p = 11 is the one ramified prime
+    with pytest.raises(RangeExceeded, match="exceeds series coverage"):
+        s.upto(s.x_max + 1)
+    with pytest.raises(RangeExceeded, match="exceeds series coverage"):
+        pi_of_x(s, s.x_max + 1)
 
 
 def test_count_complement(series_11a1_small):

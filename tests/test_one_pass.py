@@ -57,11 +57,11 @@ def with_collar(series: AngleSeries, level: int = 1) -> AngleSeries:
     thetas = series.thetas.copy()
     spots = np.arange(3, thetas.size, 97)
     thetas[spots] = np.resize(COLLAR_ANGLES, spots.size)
-    return AngleSeries(FormMeta("collar", 2, level, "file"), series.x_max, series.primes, thetas)
+    return AngleSeries(FormMeta("collar", 2, level), series.x_max, series.primes, thetas)
 
 
 def subset(series: AngleSeries, keep: np.ndarray, level: int) -> AngleSeries:
-    return AngleSeries(FormMeta("sub", 2, level, "file"), series.x_max, series.primes[keep], series.thetas[keep])
+    return AngleSeries(FormMeta("sub", 2, level), series.x_max, series.primes[keep], series.thetas[keep])
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +108,7 @@ def test_erdos_turan_bound_equals_copying_form(pairs):
             for M in (1, 2, 50):
                 assert same(erdos_turan_bound(series, x, M), erdos_turan_bound_copying(series, x, M))
     # one point, the smallest prefix that has a bound
-    meta = FormMeta("one", 2, 1, "file")
+    meta = FormMeta("one", 2, 1)
     for theta in pairs[0][1].thetas[:40]:
         one_point = AngleSeries(meta, 2, [2], [theta])
         assert same(erdos_turan_bound(one_point, 2, 50), erdos_turan_bound_copying(one_point, 2, 50))
@@ -188,7 +188,7 @@ def caches(tmp_path_factory):
     assert main(["simulate", "--seed", "4", "--xmax", "30000", "--out", str(b)]) == 0
     full = load_cache(b)
     keep = (full.primes % 7 != 0) & (full.primes % 11 != 0)
-    save_cache(AngleSeries(FormMeta("b", 2, 77, "file"), full.x_max, full.primes[keep], full.thetas[keep]), b)
+    save_cache(AngleSeries(FormMeta("b", 2, 77), full.x_max, full.primes[keep], full.thetas[keep]), b)
     return work, a, b
 
 

@@ -21,7 +21,6 @@ from satotate.prime_sums import (
     theta_joint,
     weight_laplace,
     weight_phi,
-    weight_phi_array,
     weight_selfcheck,
 )
 
@@ -31,7 +30,7 @@ from satotate.primes import primes_array
 
 
 def toy_series(primes, thetas, level=1, x_max=None):
-    meta = FormMeta("toy", 2, level, "file")
+    meta = FormMeta("toy", 2, level)
     primes = np.asarray(primes, dtype=np.int64)
     return AngleSeries(meta, x_max or int(primes[-1]), primes, np.asarray(thetas, float))
 
@@ -193,7 +192,7 @@ def test_weight_plateau_and_support_grid():
     w = W_DEFAULT
     lo, hi = w.support
     t = np.linspace(-0.5, 1.5, 100_001)
-    vals = weight_phi_array(w, t)
+    vals = weight_phi(w, t)
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
     plateau = (t >= 0.5) & (t <= 1.0)
     assert np.all(vals[plateau] == 1.0)
@@ -207,9 +206,10 @@ def test_weight_plateau_and_support_grid():
 def test_weight_phi_scalar_matches_array():
     w = W_DEFAULT
     t = np.linspace(0.45, 1.05, 997)
-    arr = weight_phi_array(w, t)
+    arr = weight_phi(w, t)
     for ti, vi in zip(t[::37], arr[::37]):
-        assert weight_phi(w, float(ti)) == pytest.approx(float(vi), abs=1e-14)
+        v = weight_phi(w, float(ti))
+        assert type(v) is float and v == vi  # one code path serves both, so bit for bit
 
 
 def test_weight_phi_edge_values():
@@ -222,7 +222,7 @@ def test_weight_phi_edge_values():
     assert 0.0 < v < 1.0
     # rising edge is monotone
     edge = np.linspace(lo, 0.5, 200)
-    vals = weight_phi_array(w, edge)
+    vals = weight_phi(w, edge)
     assert np.all(np.diff(vals) >= -1e-15)
 
 

@@ -1,0 +1,24 @@
+"""Smoke tests: the example scripts run end to end on small inputs."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize(
+    "script, args, expect",
+    [
+        ("weight_report.py", ["--x", "1000"], "plateau 1.000000"),
+        ("decay_experiment.py", ["--label", "11a1", "--xmax", "2000"], "built 11a1 to 2000"),
+    ],
+)
+def test_script_runs(script, args, expect):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert expect in proc.stdout
