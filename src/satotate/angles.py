@@ -61,6 +61,8 @@ class AngleSeries:
             raise ValueError("primes and thetas must have equal length")
         if self.primes.size and np.any(np.diff(self.primes) <= 0):
             raise ValueError("primes must be strictly increasing")
+        if self.primes.size and self.primes[-1] > self.x_max:
+            raise ValueError(f"prime {self.primes[-1]} lies beyond x_max = {self.x_max}")
         if not np.isfinite(self.thetas).all():
             raise ValueError("angles must be finite")
         if self.thetas.size and (self.thetas.min() < 0.0 or self.thetas.max() > math.pi):
@@ -134,11 +136,7 @@ def angle_from_ap(ap, p, k: int):
     return float(theta) if theta.ndim == 0 else theta
 
 
-def build_angle_series(
-    source: "CurveSpec | str | Path",
-    x_max: int,
-    label: str | None = None,
-) -> AngleSeries:
+def build_angle_series(source: "CurveSpec | str | Path", x_max: int) -> AngleSeries:
     """Complete angle series for all good primes <= x_max.
 
     ``source`` is either a CurveSpec (a_p by point counting; weight 2) or the
@@ -151,7 +149,7 @@ def build_angle_series(
         return _series_from_coeff_file(Path(source), x_max)
 
     curve = source
-    meta = FormMeta(label or curve.label, 2, curve.conductor)
+    meta = FormMeta(curve.label, 2, curve.conductor)
     ps = primes_array(2, x_max)
     good = ps[curve.conductor % ps != 0]
     thetas = angle_from_ap(ec_ap_array(curve, good), good, 2)
@@ -345,7 +343,7 @@ def save_cache(series: AngleSeries, path: "str | Path") -> None:
         raise
 
 
-def load_cache(path: "str | Path", label: str = "") -> AngleSeries:
+def load_cache(path: "str | Path") -> AngleSeries:
     """Read a STAN cache back into an AngleSeries (bit-exact on records)."""
     path = Path(path)
     try:
@@ -367,7 +365,7 @@ def load_cache(path: "str | Path", label: str = "") -> AngleSeries:
                 f"{path}: truncated body: {body_size} bytes for {count} records"
             )
         records = np.fromfile(fh, dtype=_RECORD_DTYPE, count=count)
-    meta = FormMeta(label or path.stem, int(weight), int(level))
+    meta = FormMeta(path.stem, int(weight), int(level))
     try:
         return AngleSeries(
             meta,

@@ -102,8 +102,9 @@ def resolve_threads(args) -> int:
     return max(1, getattr(args, "threads", 1))
 
 
-def write_rows(rows: list[dict], columns: list[str], fmt: str, out, command: str) -> None:
-    """Serialise rows to CSV or JSON; identical float values either way."""
+def write_rows(rows: list[dict], fmt: str, out, command: str) -> None:
+    """Serialise rows to CSV or JSON, columns in the first row's key order; identical floats either way."""
+    columns = list(rows[0].keys())
     rows = [
         {k: float(v) if isinstance(v, (float, np.floating)) else int(v) for k, v in row.items()}
         for row in rows
@@ -131,7 +132,7 @@ def cmd_angles(args) -> int:
     t0 = time.time()
     if args.curve is not None:
         curve = parse_curve(args.curve, args.conductor, args.label or "curve")
-        series = build_angle_series(curve, args.xmax, label=args.label or curve.label)
+        series = build_angle_series(curve, args.xmax)
     elif args.coeffs is not None:
         series = build_angle_series(args.coeffs, args.xmax)
     else:
@@ -180,8 +181,7 @@ def cmd_verify(args) -> int:
             rows = list(pool.map(one_row, xs))
     else:
         rows = [one_row(x) for x in xs]
-    columns = list(rows[0].keys())
-    write_rows(rows, columns, args.format, args.out, "verify")
+    write_rows(rows, args.format, args.out, "verify")
     return 0
 
 
@@ -194,7 +194,7 @@ def cmd_joint(args) -> int:
         joint_report(s1, s2, i1, i2, x, M=args.M, grid=args.grid, c_et2=args.c_et2).to_dict()
         for x in parse_x_list(args.x)
     ]
-    write_rows(rows, list(rows[0].keys()), args.format, args.out, "joint")
+    write_rows(rows, args.format, args.out, "joint")
     return 0
 
 
@@ -221,7 +221,7 @@ def cmd_cheb_sums(args) -> int:
         for x in parse_x_list(args.x)
         for m, plain, weighted, residual in prime_sums.cheb_sum_rows(series, range(m_min, args.m + 1), x)
     ]
-    write_rows(rows, list(rows[0].keys()), args.format, args.out, "cheb-sums")
+    write_rows(rows, args.format, args.out, "cheb-sums")
     return 0
 
 

@@ -42,8 +42,15 @@ class CurveSpec:
     def __post_init__(self) -> None:
         if self.conductor <= 0:
             raise ValueError("conductor must be positive")
-        if self.discriminant() == 0:
+        disc = self.discriminant()
+        if disc == 0:
             raise ValueError("singular model: discriminant is zero")
+        # every bad prime divides the discriminant of any integral model; gcds strip them unfactored
+        rest = self.conductor
+        while (g := math.gcd(rest, disc)) > 1:
+            rest //= g
+        if rest > 1:
+            raise ValueError(f"conductor {self.conductor} does not fit the model: {rest} is prime to disc {disc}")
 
     def b_invariants(self) -> tuple[int, int, int, int]:
         b2 = self.a1**2 + 4 * self.a2
@@ -66,16 +73,26 @@ class CurveSpec:
         b2, b4, b6, _ = self.b_invariants()
         return b2**2 - 24 * b4, -(b2**3) + 36 * b2 * b4 - 216 * b6
 
+    def check_good(self, p: int) -> None:
+        """Raise BadReduction when p divides the discriminant (after __post_init__, every p | N does)."""
+        if self.discriminant() % p == 0:
+            if self.conductor % p == 0:
+                raise BadReduction(f"{self.label or 'curve'} has bad reduction at {p}")
+            raise BadReduction(
+                f"{self.label or 'curve'}: the model is singular at {p} although {p} does not divide "
+                f"the conductor {self.conductor} (not minimal at {p}, or a wrong conductor)"
+            )
+
     def short_model(self, p: int) -> tuple[int, int]:
-        """Reduce to y^2 = x^3 + Ax + B over F_p; requires p > 3 and good reduction."""
+        """(A, B) = (-27 c4, -54 c6) mod p of y^2 = x^3 + Ax + B; requires p > 3 and good reduction.
+
+        This is the long model scaled by u = 6: isomorphic over F_p for p > 3, with no inverse.
+        """
         if p <= 3:
             raise SmallCharacteristic(f"no short model at p = {p}")
-        if self.conductor % p == 0:
-            raise BadReduction(f"{self.label or 'curve'} has bad reduction at {p}")
+        self.check_good(p)
         c4, c6 = self.c_invariants()
-        a = (-c4 * pow(48, -1, p)) % p
-        b = (-c6 * pow(864, -1, p)) % p
-        return a, b
+        return (-27 * c4) % p, (-54 * c6) % p
 
     def ainvs(self) -> tuple[int, int, int, int, int]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
@@ -98,8 +115,7 @@ def ec_count_points_enum(curve: CurveSpec, p: int) -> int:
 
     O(p^2); the only route available at p in {2, 3}.
     """
-    if curve.conductor % p == 0:
-        raise BadReduction(f"bad reduction at {p}")
+    curve.check_good(p)
     a1, a2, a3, a4, a6 = (a % p for a in curve.ainvs())
     count = 1
     for x in range(p):
@@ -120,18 +136,16 @@ def _qr_table(p: int) -> np.ndarray:
     return table
 
 
-def ec_count_points_naive(curve: CurveSpec, p: int, cost_guard: int = NAIVE_COST_GUARD) -> int:
+def ec_count_points_naive(curve: CurveSpec, p: int) -> int:
     """#E(F_p) = p + 1 + sum_x chi(x^3 + Ax + B) via Legendre-symbol summation.
 
     chi is computed by residue-table lookup, which is the same character sum
     evaluated without per-element modular exponentiation.  Requires p > 3 so
-    the short model exists; the cost guard keeps the O(p) scan at desk scale.
+    the short model exists; NAIVE_COST_GUARD keeps the O(p) scan at desk scale.
     """
-    if p <= 3:
-        raise SmallCharacteristic(f"naive Legendre count needs p > 3, got {p}")
-    if p >= cost_guard:
-        raise ValueError(f"p = {p} exceeds the naive cost guard {cost_guard}")
-    a, b = curve.short_model(p)  # raises BadReduction when p | conductor
+    if p >= NAIVE_COST_GUARD:
+        raise ValueError(f"p = {p} exceeds the naive cost guard {NAIVE_COST_GUARD}")
+    a, b = curve.short_model(p)  # raises SmallCharacteristic for p <= 3, BadReduction at a bad p
     x = np.arange(p, dtype=np.int64)
     vals = (x * x % p * x + a * x + b) % p
     chi = np.where(_qr_table(p)[vals], 1, -1)
@@ -269,12 +283,12 @@ def _annihilators_in_window(P, a: int, p: int, lo: int, hi: int) -> set[int]:
     return hits
 
 
-def _order_via_bsgs(a: int, b: int, p: int, rng: random.Random, attempts: int) -> int | None:
+def _order_via_bsgs(a: int, b: int, p: int, rng: random.Random) -> int | None:
     """Unique group order of y^2 = x^3 + ax + b over F_p, or None if ambiguous."""
     root = math.isqrt(4 * p)
     lo, hi = p + 1 - root - 1, p + 1 + root + 1
     candidates: set[int] | None = None
-    for _ in range(attempts):
+    for _ in range(24):  # random points before the caller falls back to the twist
         P = _random_point(a, b, p, rng)
         hits = _annihilators_in_window(P, a, p, lo, hi)
         candidates = hits if candidates is None else candidates & hits
@@ -285,19 +299,17 @@ def _order_via_bsgs(a: int, b: int, p: int, rng: random.Random, attempts: int) -
     return None
 
 
-def ec_ap_bsgs(curve: CurveSpec, p: int, attempts: int = 24, seed: int | None = None) -> int:
+def ec_ap_bsgs(curve: CurveSpec, p: int) -> int:
     """a_p by baby-step giant-step group-order search; requires p > 229.
 
-    Randomness is seeded from (curve, p) by default, so results and retry
-    behaviour are reproducible regardless of thread scheduling.
+    Randomness is seeded from (curve, p), so results and retry behaviour are
+    reproducible regardless of thread scheduling.
     """
     if p <= NAIVE_BSGS_CROSSOVER:
         raise ValueError(f"BSGS needs p > {NAIVE_BSGS_CROSSOVER}; use the naive count")
-    a, b = curve.short_model(p)  # raises BadReduction / SmallCharacteristic
-    if seed is None:
-        seed = hash((curve.ainvs(), p)) & 0xFFFFFFFF
-    rng = random.Random(seed)
-    order = _order_via_bsgs(a, b, p, rng, attempts)
+    a, b = curve.short_model(p)  # raises BadReduction
+    rng = random.Random(hash((curve.ainvs(), p)) & 0xFFFFFFFF)
+    order = _order_via_bsgs(a, b, p, rng)
     if order is None:
         # Quadratic twist fallback: #E + #E^d = 2p + 2 for chi(d) = -1.
         d = 2
@@ -305,7 +317,7 @@ def ec_ap_bsgs(curve: CurveSpec, p: int, attempts: int = 24, seed: int | None = 
             d += 1
         a_tw = a * d * d % p
         b_tw = b * d * d % p * d % p
-        tw_order = _order_via_bsgs(a_tw, b_tw, p, rng, attempts)
+        tw_order = _order_via_bsgs(a_tw, b_tw, p, rng)
         if tw_order is None:
             raise AmbiguousOrder(f"order search failed on curve and twist at p = {p}")
         order = 2 * p + 2 - tw_order
@@ -313,9 +325,7 @@ def ec_ap_bsgs(curve: CurveSpec, p: int, attempts: int = 24, seed: int | None = 
 
 
 def ec_ap(curve: CurveSpec, p: int) -> int:
-    """a_p at a good prime by the cheapest reliable route for the size of p."""
-    if curve.conductor % p == 0:
-        raise BadReduction(f"bad reduction at {p}")
+    """a_p at a good prime by the cheapest reliable route for the size of p (every route checks p)."""
     if p <= NAIVE_BSGS_CROSSOVER:
         return ec_ap_naive(curve, p)
     return ec_ap_bsgs(curve, p)
@@ -538,11 +548,7 @@ def _lockstep_pass(p, A, B, salt, chi_wanted=None):
 
 
 def _short_models(curve: CurveSpec, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) of y^2 = x^3 - 27 c4 x - 54 c6 over F_p for each prime.
-
-    This model is 6^4, 6^6 times short_model's (A, B): isomorphic over F_p
-    for p > 3, so it has the same number of points and needs no inverse.
-    """
+    """The array form of CurveSpec.short_model: (A, B) = (-27 c4, -54 c6) mod each prime."""
     c4, c6 = curve.c_invariants()
     return _residues(-27 * c4, p), _residues(-54 * c6, p)
 
@@ -560,24 +566,22 @@ def _settle(out: np.ndarray, ps: np.ndarray, idx: np.ndarray, keys: np.ndarray, 
 def ec_ap_array(curve: CurveSpec, primes) -> np.ndarray:
     """a_p for an array of good primes, as exact int64, in the order given.
 
-    p <= 229 uses ec_ap_naive, and p >= LOCKSTEP_P_MAX the scalar
-    ec_ap_bsgs.  The primes in between run in increasing order
-    through lockstep blocks of LOCKSTEP_BLOCK rows: a first pass with a point
-    on E or on its twist; the rows left without exactly one candidate order
+    The primes 229 < p < LOCKSTEP_P_MAX run in increasing order through
+    lockstep blocks of LOCKSTEP_BLOCK rows: a first pass with a point on E
+    or on its twist; the rows left without exactly one candidate order
     (together, across blocks) get a second pass with a point on the other
-    twist, whose candidates are intersected with the first pass's; rows
-    still open go to the scalar ec_ap_bsgs.  a_p is exact whatever the path,
-    so the result does not depend on how the primes are split into calls.
+    twist, whose candidates are intersected with the first pass's.  Every
+    other prime, and every row still open, goes to the scalar ec_ap.  a_p
+    is exact whatever the path, so the result does not depend on how the
+    primes are split into calls.
     """
     ps = np.asarray(primes, dtype=np.int64).reshape(-1)
     out = np.empty(ps.size, dtype=np.int64)
-    bad = np.flatnonzero(_residues(curve.conductor, ps) == 0)
+    bad = np.flatnonzero(_residues(curve.discriminant(), ps) == 0)
     if bad.size:
-        raise BadReduction(f"{curve.label or 'curve'} has bad reduction at {ps[bad[0]]}")
-    small = ps <= NAIVE_BSGS_CROSSOVER
-    for j in np.flatnonzero(small).tolist():
-        out[j] = ec_ap_naive(curve, int(ps[j]))
-    large = np.flatnonzero(~small & (ps < LOCKSTEP_P_MAX))
+        curve.check_good(int(ps[bad[0]]))  # raises, with the scalar message
+    lockstep = (ps > NAIVE_BSGS_CROSSOVER) & (ps < LOCKSTEP_P_MAX)
+    large = np.flatnonzero(lockstep)
     large = large[np.argsort(ps[large], kind="stable")]
     salt = hash(curve.ainvs()) & 0xFFFFFFFF
 
@@ -598,7 +602,7 @@ def ec_ap_array(curve: CurveSpec, primes) -> np.ndarray:
         opened += rest.size
 
     # pass 2 on the other twist; a row whose pass 1 failed keeps pass 2's candidates alone
-    scalar = [np.flatnonzero(~small & (ps >= LOCKSTEP_P_MAX))]
+    scalar = [np.flatnonzero(~lockstep)]
     if opened:
         open_idx, open_failed, open_chi = map(np.concatenate, (open_idx, open_failed, open_chi))
         keys1 = np.concatenate(keys1)
@@ -612,5 +616,5 @@ def ec_ap_array(curve: CurveSpec, primes) -> np.ndarray:
         scalar.append(idx[_settle(out, ps, idx, keys, failed)])
 
     for j in np.concatenate(scalar).tolist():
-        out[j] = ec_ap_bsgs(curve, int(ps[j]))
+        out[j] = ec_ap(curve, int(ps[j]))
     return out

@@ -48,13 +48,11 @@ def pi_of_x(series: AngleSeries, x: int) -> int:
 def count_in_interval(series: AngleSeries, interval: Interval, x: int) -> int:
     """pi_{f,I}(x): good primes p <= x with theta_p in the closed interval."""
     _, thetas = series.upto(x)
-    return int(np.count_nonzero((thetas >= interval.alpha) & (thetas <= interval.beta)))
+    return int(np.count_nonzero(interval.contains(thetas)))
 
 
 def _joint_count(t1: np.ndarray, t2: np.ndarray, i1: Interval, i2: Interval) -> int:
-    in1 = (t1 >= i1.alpha) & (t1 <= i1.beta)
-    in2 = (t2 >= i2.alpha) & (t2 <= i2.beta)
-    return int(np.count_nonzero(in1 & in2))
+    return int(np.count_nonzero(i1.contains(t1) & i2.contains(t2)))
 
 
 def joint_count(
@@ -262,12 +260,11 @@ def least_prime_in_interval(
         k, q = source.meta.weight_k, source.meta.level_q
         bound = grh_least_prime_ceiling(k, q, mu, c)
         limit = min(ceiling, source.x_max)
-        mask = (source.thetas >= interval.alpha) & (source.thetas <= interval.beta)
-        mask &= source.primes <= limit
-        hits = np.flatnonzero(mask)
+        ps, thetas = source.upto(limit)
+        hits = np.flatnonzero(interval.contains(thetas))
         if hits.size == 0:
             raise SearchExceeded(f"no good prime <= {limit} with theta_p in I")
-        return LeastPrimeResult(int(source.primes[hits[0]]), bound)
+        return LeastPrimeResult(int(ps[hits[0]]), bound)
 
     curve = source
     bound = grh_least_prime_ceiling(2, curve.conductor, mu, c)
@@ -280,7 +277,7 @@ def least_prime_in_interval(
             # recount one prime at a time, so an error past the hit stays unseen
             thetas = (angle_from_ap(float(ec_ap(curve, p)), p, 2) for p in block)
         for p, theta in zip(block, thetas):
-            if interval.alpha <= theta <= interval.beta:
+            if interval.contains(theta):
                 return LeastPrimeResult(p, bound)
         size = min(2 * size, LOCKSTEP_BLOCK)
     raise SearchExceeded(f"no good prime <= {ceiling} with theta_p in I")

@@ -32,6 +32,10 @@ class Interval:
         if not (0.0 <= self.alpha <= self.beta <= math.pi):
             raise ValueError(f"need 0 <= alpha <= beta <= pi, got [{self.alpha}, {self.beta}]")
 
+    def contains(self, theta):
+        """alpha <= theta <= beta, both ends included (the package's tie rule); scalar or array."""
+        return (theta >= self.alpha) & (theta <= self.beta)
+
 
 FULL_INTERVAL = Interval(0.0, math.pi)
 

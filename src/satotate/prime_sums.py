@@ -170,13 +170,13 @@ class SmoothingWeight:
         return 0.5 - half_width, 1.0 + half_width
 
 
-def paper_proof_weight(x: float, m: int, c_zero_density: float = 1.0) -> SmoothingWeight:
-    """The proof-driven preset ell = 4 c m, eps = 8 ell x^(-1/(8 ell)).
+def paper_proof_weight(x: float, m: int) -> SmoothingWeight:
+    """The proof-driven preset ell = 4 c m, eps = 8 ell x^(-1/(8 ell)), zero-density constant c = 1.
 
     Valid only when eps lands in (0, 1/4), which requires x beyond
     (32 ell)^(8 ell); at desk scale this raises, by design.
     """
-    ell = max(1, round(4 * c_zero_density * m))
+    ell = max(1, 4 * m)
     eps = 8.0 * ell * x ** (-1.0 / (8.0 * ell))
     if not 0.0 < eps < 0.25:
         raise ValueError(
@@ -259,15 +259,15 @@ def _phi_breakpoints(w: SmoothingWeight) -> list[float]:
     return knots
 
 
-def weight_laplace_quadrature(w: SmoothingWeight, z: complex, nodes: int = 40) -> complex:
-    """int phi(t) e^(-zt) dt by Gauss-Legendre on each polynomial piece of phi."""
+def weight_laplace_quadrature(w: SmoothingWeight, z: complex) -> complex:
+    """int phi(t) e^(-zt) dt by 40-node Gauss-Legendre on each polynomial piece of phi."""
     z = complex(z)
     pts = _phi_breakpoints(w)
     total = 0.0 + 0.0j
     for a, b in zip(pts[:-1], pts[1:]):
         if b <= a:
             continue
-        xs, ws = gauss_legendre_nodes(nodes, a, b)
+        xs, ws = gauss_legendre_nodes(40, a, b)
         phi_vals = weight_phi(w, xs)
         total += complex(np.sum(ws * phi_vals * np.exp(-z * xs)))
     return total

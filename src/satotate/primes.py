@@ -14,24 +14,21 @@ from typing import Iterator
 
 import numpy as np
 
-DEFAULT_SEGMENT_BYTES = 1 << 20
+SEGMENT_BYTES = 1 << 20  # bitmap bytes per segment; the output does not depend on it
 
 
 @dataclass(frozen=True)
 class PrimeRange:
-    """A closed request [lo, hi] for primes, with sieving granularity."""
+    """A closed request [lo, hi] for primes."""
 
     lo: int
     hi: int
-    segment_size: int = DEFAULT_SEGMENT_BYTES
 
     def __post_init__(self) -> None:
         if self.lo < 2:
             raise ValueError("lo must be >= 2")
         if self.hi < self.lo:
             raise ValueError("hi must be >= lo")
-        if self.segment_size <= 0:
-            raise ValueError("segment_size must be positive")
 
 
 def _simple_sieve(limit: int) -> np.ndarray:
@@ -49,7 +46,7 @@ def _simple_sieve(limit: int) -> np.ndarray:
 def _odd_segments(rng: PrimeRange) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (low, mask) pairs where mask[i] flags low + 2i prime, low odd."""
     base = _simple_sieve(math.isqrt(rng.hi))
-    span = 2 * rng.segment_size  # integers covered per segment
+    span = 2 * SEGMENT_BYTES  # integers covered per segment
     low = max(rng.lo, 3)
     if low % 2 == 0:
         low += 1
@@ -71,28 +68,26 @@ def _odd_segments(rng: PrimeRange) -> Iterator[tuple[int, np.ndarray]]:
         low = high + 2 if (high - low) % 2 == 0 else high + 1
 
 
+def _prime_segments(rng: PrimeRange) -> Iterator[np.ndarray]:
+    """The primes in [rng.lo, rng.hi] as increasing int64 arrays: 2, then one per odd segment."""
+    if rng.lo <= 2 <= rng.hi:
+        yield np.array([2], dtype=np.int64)
+    for low, mask in _odd_segments(rng):
+        yield low + 2 * np.flatnonzero(mask).astype(np.int64)
+
+
 def primes_in(rng: PrimeRange) -> Iterator[int]:
     """Stream the primes in [rng.lo, rng.hi] in increasing order."""
-    if rng.lo <= 2 <= rng.hi:
-        yield 2
-    for low, mask in _odd_segments(rng):
-        seg = low + 2 * np.flatnonzero(mask)
+    for seg in _prime_segments(rng):
         yield from seg.tolist()
 
 
-def primes_array(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_BYTES) -> np.ndarray:
+def primes_array(lo: int, hi: int) -> np.ndarray:
     """All primes in [lo, hi] as one int64 array (bulk form of primes_in)."""
     if hi < 2 or hi < lo:
         return np.empty(0, dtype=np.int64)
-    rng = PrimeRange(max(lo, 2), hi, segment_size)
-    chunks = []
-    if rng.lo <= 2 <= rng.hi:
-        chunks.append(np.array([2], dtype=np.int64))
-    for low, mask in _odd_segments(rng):
-        chunks.append(low + 2 * np.flatnonzero(mask).astype(np.int64))
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(chunks)
+    # the leading empty chunk fixes the dtype and covers a range with no primes, such as [4, 4]
+    return np.concatenate([np.empty(0, dtype=np.int64), *_prime_segments(PrimeRange(max(lo, 2), hi))])
 
 
 def prime_count(x: int) -> int:

@@ -1,5 +1,6 @@
 import math
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from satotate.angles import (
     save_cache,
     write_coeff_file,
 )
+from satotate.cli import main
 from satotate.curves import CURVE_11A1, ec_count_points_enum
 from satotate.errors import DeligneViolation, FormatError, MissingPrime
 from satotate.primes import primes_array
@@ -288,6 +290,18 @@ def test_cache_body_size_must_match_count(tmp_path):
         path.write_bytes(header + body)
         with pytest.raises(FormatError, match=f"truncated body: {len(body)} bytes for 3 records"):
             load_cache(path)
+
+
+def test_series_rejects_primes_beyond_x_max(tmp_path):
+    with pytest.raises(ValueError, match="prime 11 lies beyond x_max = 10"):
+        toy_series([2, 3, 5, 11], [0.1, 0.2, 0.3, 0.4], x_max=10)
+    # a hand-packed cache: header x_max = 10, records 2..11
+    path = tmp_path / "over.stan"
+    records = np.array([(2, 0.1), (3, 0.2), (5, 0.3), (7, 0.4), (11, 0.5)], dtype=[("p", "<u8"), ("t", "<f8")])
+    path.write_bytes(struct.pack("<4sIQIIQQ", b"STAN", 1, 1, 2, 0, 10, 5) + records.tobytes())
+    with pytest.raises(FormatError, match="bad records: prime 11 lies beyond x_max = 10"):
+        load_cache(path)
+    assert main(["verify", "--cache", str(path), "--interval", "half", "--x", "10"]) == 3
 
 
 def test_cache_bad_magic_and_version(tmp_path):

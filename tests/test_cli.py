@@ -74,6 +74,21 @@ def test_angles_missing_conductor(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "curve, conductor, message",
+    [
+        ("0,0,27,-81,0", "37", "singular at 3 although 3 does not divide the conductor 37"),  # 37a1 scaled by 3
+        ("0,0,1,-1,0", "11", "conductor 11 does not fit the model"),  # 37a1 with a wrong conductor
+    ],
+)
+def test_angles_model_and_conductor_mismatch_exit_2(tmp_path, capsys, curve, conductor, message):
+    out = tmp_path / "x.stan"
+    assert main(["angles", "--curve", curve, "--conductor", conductor, "--xmax", "100", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_angles_coeff_source_equal(tmp_path, cache_11a1):
     from satotate.angles import load_cache, write_coeff_file
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import satotate.curves as curves_module
 import satotate.discrepancy as discrepancy_module
-from satotate.angles import angle_from_ap
+from satotate.angles import angle_from_ap, build_angle_series
 from satotate.curves import (
     CURVE_11A1,
     CURVE_32A,
@@ -85,6 +85,10 @@ def test_bad_reduction_raises():
         ec_ap_bsgs(CURVE_389A1, 389)
     with pytest.raises(BadReduction):
         ec_count_points_enum(CURVE_32A, 2)
+    with pytest.raises(BadReduction, match="^37a1 has bad reduction at 37$"):
+        CURVE_37A1.check_good(37)
+    for p in (2, 3, 5, 7, 41):
+        CURVE_37A1.check_good(p)
 
 
 def test_bsgs_rejects_small_p():
@@ -226,7 +230,7 @@ def test_ap_array_mixed_sizes_up_to_the_int64_limit():
 
 
 def test_ap_array_rejects_bad_primes():
-    with pytest.raises(BadReduction):
+    with pytest.raises(BadReduction, match="^37a1 has bad reduction at 37$"):
         ec_ap_array(CURVE_37A1, [5, 37, 41])
 
 
@@ -294,3 +298,78 @@ def test_least_prime_hides_errors_past_the_hit(monkeypatch):
     monkeypatch.setattr(discrepancy_module, "ec_ap_array", broken_block)
     monkeypatch.setattr(discrepancy_module, "ec_ap", scalar_past_hit)
     assert least_prime_in_interval(CURVE_11A1, interval).p == hit
+
+
+# -- one route table, one good-reduction check, one short model ------------------
+
+
+def rescaled_37a1(u: int) -> CurveSpec:
+    """37a1 with a_i -> u^i a_i: isomorphic over Q, but not minimal at the primes of u."""
+    a1, a2, a3, a4, a6 = CURVE_37A1.ainvs()
+    return CurveSpec(a1 * u, a2 * u**2, a3 * u**3, a4 * u**4, a6 * u**6, conductor=37, label=f"37a1*{u}")
+
+
+def test_rescaled_model_fails_loudly_on_every_route():
+    # each model is singular at the primes of u although 37 is the right conductor
+    assert rescaled_37a1(3).ainvs() == (0, 0, 27, -81, 0)
+    with pytest.raises(BadReduction, match="singular at 3 although 3 does not divide the conductor 37"):
+        ec_ap(rescaled_37a1(3), 3)  # enumeration
+    with pytest.raises(BadReduction, match="singular at 5 "):
+        ec_ap(rescaled_37a1(5), 5)  # Legendre count
+    with pytest.raises(BadReduction, match="singular at 233 "):
+        build_angle_series(rescaled_37a1(233), 300)  # the lockstep pre-scan, discriminant beyond int64
+    # away from u the rescaled model gives 37a1's a_p
+    ps = [2, 5, 7, 229, 233, 1009]
+    assert ec_ap_array(rescaled_37a1(3), ps).tolist() == ec_ap_array(CURVE_37A1, ps).tolist()
+
+
+def test_conductor_must_divide_into_the_discriminant():
+    with pytest.raises(ValueError, match="conductor 11 does not fit the model"):
+        CurveSpec(0, 0, 1, -1, 0, conductor=11)  # 37a1 with 11a1's conductor
+    with pytest.raises(ValueError, match="conductor 74"):
+        CurveSpec(0, 0, 1, -1, 0, conductor=74)  # 2 does not divide 37
+    for curve in BATTERY:
+        CurveSpec(*curve.ainvs(), conductor=curve.conductor)  # every battery model fits
+    assert CurveSpec(0, 0, 0, 0, 1, conductor=36).conductor == 36  # disc -432 = -2^4 3^3
+
+
+def test_short_model_is_the_row_of_short_models():
+    ps = [5, 7, 13, 229, 233, 1009, 999983]
+    for curve in BATTERY:
+        A, B = curves_module._short_models(curve, np.array(ps, dtype=np.int64))
+        for j, p in enumerate(ps):
+            if curve.conductor % p:
+                assert curve.short_model(p) == (int(A[j]), int(B[j])), (curve.label, p)
+    with pytest.raises(SmallCharacteristic):
+        CURVE_11A1.short_model(3)
+    with pytest.raises(BadReduction):
+        CURVE_11A1.short_model(11)
+
+
+def test_ap_array_sends_every_non_lockstep_prime_to_ec_ap(monkeypatch):
+    routed, inside = [], []
+    real = {name: getattr(curves_module, name) for name in ("ec_ap", "ec_ap_naive", "ec_ap_bsgs")}
+
+    def counting_ec_ap(curve, p):
+        routed.append(p)
+        inside.append(p)
+        try:
+            return real["ec_ap"](curve, p)
+        finally:
+            inside.pop()
+
+    def scalar_route(name):
+        def route(curve, p):
+            assert inside == [p], f"{name}({p}) called outside ec_ap"
+            return real[name](curve, p)
+
+        return route
+
+    monkeypatch.setattr(curves_module, "ec_ap", counting_ec_ap)
+    monkeypatch.setattr(curves_module, "ec_ap_naive", scalar_route("ec_ap_naive"))
+    monkeypatch.setattr(curves_module, "ec_ap_bsgs", scalar_route("ec_ap_bsgs"))
+    ps = [3000000019, 2, 233, 229, 2999999929, 3, 7, 241]
+    got = ec_ap_array(CURVE_11A1, ps)
+    assert {2, 3, 7, 229, 3000000019} <= set(routed)  # open lockstep rows may join them
+    monkeypatch.undo()
+    assert got.tolist() == [ec_ap_naive(CURVE_11A1, p) if p <= 229 else ec_ap_bsgs(CURVE_11A1, p) for p in ps]

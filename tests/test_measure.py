@@ -63,6 +63,17 @@ def test_interval_validation():
         Interval(0.0, math.pi + 0.1)
 
 
+def test_interval_contains_both_ends():
+    iv = Interval(0.5, 2.0)
+    assert iv.contains(0.5) and iv.contains(2.0) and iv.contains(1.0)
+    assert not iv.contains(np.nextafter(0.5, 0.0)) and not iv.contains(np.nextafter(2.0, 3.0))
+    thetas = np.array([0.0, np.nextafter(0.5, 0.0), 0.5, 1.0, 2.0, np.nextafter(2.0, 3.0), math.pi])
+    assert iv.contains(thetas).tolist() == [False, False, True, True, True, False, False]
+    point = Interval(1.0, 1.0)  # degenerate: holds its one point
+    assert point.contains(1.0) and point.contains(np.array([1.0])).tolist() == [True]
+    assert FULL_INTERVAL.contains(np.array([0.0, math.pi])).all()
+
+
 def test_cheb_u_values():
     assert cheb_u(0, 1.234) == 1.0
     assert cheb_u(2, math.pi / 3) == pytest.approx(0.0, abs=1e-15)

@@ -193,7 +193,7 @@ def caches(tmp_path_factory):
 
 
 def written(path, rows, command) -> bytes:
-    write_rows(rows, list(rows[0].keys()), "csv", str(path), command)
+    write_rows(rows, "csv", str(path), command)
     return path.read_bytes()
 
 

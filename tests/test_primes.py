@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import satotate.primes as primes_module
 from satotate.primes import PrimeRange, prime_count, primes_array, primes_in
 
 
@@ -83,10 +84,21 @@ def test_split_ranges_concatenate(x, cuts):
     assert pieces == list(primes_in(PrimeRange(2, x)))
 
 
-def test_segment_size_does_not_change_output():
+def test_segment_size_does_not_change_output(monkeypatch):
     full = primes_array(2, 300_000)
-    tiny = primes_array(2, 300_000, segment_size=1 << 10)
+    monkeypatch.setattr(primes_module, "SEGMENT_BYTES", 1 << 10)
+    tiny = primes_array(2, 300_000)
     assert np.array_equal(full, tiny)
+    assert list(primes_in(PrimeRange(2, 300_000))) == full.tolist()
+    assert prime_count(300_000) == full.size
+
+
+def test_primes_array_edges():
+    for lo, hi in ((0, 1), (4, 4), (14, 16), (10, 2)):
+        got = primes_array(lo, hi)
+        assert got.dtype == np.int64 and got.size == 0, (lo, hi)
+    assert primes_array(0, 2).tolist() == [2]
+    assert primes_array(3, 11).tolist() == [3, 5, 7, 11]
 
 
 def test_invalid_ranges_rejected():
@@ -94,5 +106,3 @@ def test_invalid_ranges_rejected():
         PrimeRange(1, 10)
     with pytest.raises(ValueError):
         PrimeRange(10, 2)
-    with pytest.raises(ValueError):
-        PrimeRange(2, 10, segment_size=0)
