@@ -331,7 +331,10 @@ def save_cache(series: AngleSeries, path: "str | Path") -> None:
     records = np.empty(len(series), dtype=_RECORD_DTYPE)
     records["p"] = series.primes
     records["theta"] = series.thetas
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    except OSError as exc:  # name the cache, not the temporary file
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(header)

@@ -201,6 +201,8 @@ def cmd_joint(args) -> int:
 def cmd_least_prime(args) -> int:
     if (args.cache is None) == (args.curve is None):
         raise UsageError("give exactly one of --cache / --curve")
+    if args.ceiling < 2:
+        raise UsageError(f"--ceiling must be >= 2, got {args.ceiling}")
     interval = parse_interval(args.interval)
     if args.cache is not None:
         source = load_cache(args.cache)

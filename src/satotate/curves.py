@@ -15,6 +15,8 @@ a_p = p + 1 - #E(F_p), and |a_p| <= 2 sqrt(p) by Hasse.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -337,7 +339,8 @@ def ec_ap(curve: CurveSpec, p: int) -> int:
 # model y^2 = x^3 + ax + b; all values are int64 residues in [0, p), so every
 # product of two residues stays below p^2 < 2^63.  An addition or doubling
 # whose result has Z = 0 (the point at infinity, or an exceptional case of the
-# formulas) marks its row as failed; failed rows go to the next pass.
+# formulas) marks its row as failed, except for a giant step that provably
+# lands on the point at infinity; failed rows go to the next pass.
 
 LOCKSTEP_BLOCK = 1024  # rows per lockstep pass: a working set of 2-3 MB for p up to 1e6
 LOCKSTEP_P_MAX = 3 * 10**9  # p^2 < 2^63 below this; larger primes use the scalar route
@@ -454,7 +457,8 @@ def _lockstep_pass(p, A, B, salt, chi_wanted=None):
     is needed.  ``chi_wanted`` (per row, +1 or -1) asks for a point on E
     itself or on its quadratic twist.  Every n in the Hasse window with
     nP = O is found: baby steps iP (i = 1..m) are matched by x-coordinate
-    against giant steps s_k P, s_k = (q0 + k)(2m + 1), so n = s_k -+ i.
+    against giant steps s_k P, s_k = (q0 + k)(2m + 1), so n = s_k -+ i;
+    an exact hit s_k P = O (k >= 1) gives n = s_k and restarts the chain.
     Returns (keys, failed, chi): the sorted distinct ``row << 34 | #E(F_p)``
     candidates of the rows that did not fail, mapped back from E_f to E; the
     rows that failed (an exceptional addition, or no usable x); and the
@@ -497,20 +501,36 @@ def _lockstep_pass(p, A, B, salt, chi_wanted=None):
     del BZ
     jx, jy = BX[m].copy(), BY[m].copy()
 
-    # giant steps: G_k = s_k P = (q0 + k) J, centres spaced 2m + 1 apart over [lo, hi]
+    # giant steps: G_k = s_k P = (q0 + k) J, centres spaced 2m + 1 apart over [lo, hi];
+    # after G_k = O (k >= 1) the chain restarts at G_{k+1} = J and G_{k+2} = 2J,
+    # the latter from a doubling, as J + J is exceptional for the mixed addition
     q0 = (lo + m) // step
     failed |= q0 < 1  # a block mixing primes of very different sizes: no room below lo
     q0 = np.maximum(q0, 1)
     K = int(((hi - m + step - 1) // step - q0).max()) + 1
     GX, GY, GZ = (np.empty((K, n), dtype=np.int64) for _ in range(3))
+    one = np.ones(n, dtype=np.int64)
+    restarts = ((jx, jy, one), _jacobian_double(jx, jy, one, a, p))
     X, Y, Z = _jacobian_multiply(q0, jx, jy, a, p)
     for k in range(K):
         GX[k], GY[k], GZ[k] = X, Y, Z
         if k < K - 1:
             X, Y, Z = _jacobian_add_affine(X, Y, Z, jx, jy, p)
-    failed |= (GZ == 0).any(axis=0)
+            for back, point in enumerate(restarts):  # G_{k-back} = O: G_{k+1} = (back + 1) J
+                if k - back >= 1 and (hit := GZ[k - back] == 0).any():
+                    X, Y, Z = [np.where(hit, new, old) for new, old in zip(point, (X, Y, Z))]
+    zero = GZ == 0
+    failed |= zero[0]
+    hit_k, hit_row = np.nonzero(zero[1:])
+    hit_k += 1
+    GZ[zero] = 1  # keeps the row's simultaneous inversion defined
     _to_affine(GX, GY, GZ, p)
     del GZ
+    # Z = 0 is an exact hit s_k P = O only after G_{k-1} = -J; else a formula broke down
+    exact = (GX[hit_k - 1, hit_row] == jx[hit_row]) & (GY[hit_k - 1, hit_row] == -jy[hit_row] % p[hit_row])
+    failed[hit_row[~exact]] = True
+    hit_row, hit_s = hit_row[exact], (q0[hit_row[exact]] + hit_k[exact]) * step
+    np.copyto(GX, p, where=zero)  # x = p matches no baby step
 
     # match x(G_k) with x(iP) in the same row on sort keys (row * stride + x) << shift,
     # which carry the baby index i - 1 in their low bits
@@ -539,8 +559,8 @@ def _lockstep_pass(p, A, B, salt, chi_wanted=None):
     yb, yg = BY.reshape(-1)[b], GY.reshape(-1)[g]
     s = (q0[row] + k) * step
     same, opposite = yb == yg, (yb + yg) % p[row] == 0  # G_k = iP or G_k = -iP
-    row = np.concatenate((row[same], row[opposite]))
-    order_f = np.concatenate((s[same] - i[same], s[opposite] + i[opposite]))
+    row = np.concatenate((row[same], row[opposite], hit_row))
+    order_f = np.concatenate((s[same] - i[same], s[opposite] + i[opposite], hit_s))
     keep = (order_f >= lo[row]) & (order_f <= hi[row]) & ~failed[row]
     row, order_f = row[keep], order_f[keep]
     order_e = np.where(chi[row] == 1, order_f, 2 * p[row] + 2 - order_f)
@@ -563,35 +583,88 @@ def _settle(out: np.ndarray, ps: np.ndarray, idx: np.ndarray, keys: np.ndarray, 
     return np.flatnonzero(~done)
 
 
-def ec_ap_array(curve: CurveSpec, primes) -> np.ndarray:
-    """a_p for an array of good primes, as exact int64, in the order given.
+def _map_blocks(fn, n: int) -> list:
+    """[fn(start, stop) for each block of LOCKSTEP_BLOCK rows of range(n)], on every CPU the process may use.
 
-    The primes 229 < p < LOCKSTEP_P_MAX run in increasing order through
-    lockstep blocks of LOCKSTEP_BLOCK rows: a first pass with a point on E
-    or on its twist; the rows left without exactly one candidate order
-    (together, across blocks) get a second pass with a point on the other
-    twist, whose candidates are intersected with the first pass's.  Every
-    other prime, and every row still open, goes to the scalar ec_ap.  a_p
-    is exact whatever the path, so the result does not depend on how the
-    primes are split into calls.
+    With W = min(CPUs in the affinity set, full blocks) >= 2, the blocks are
+    dealt round-robin to W shares.  W - 1 forked children compute theirs and
+    send them back through a pipe while this process computes the first.
+    fn must be a pure function of its block, so the results do not depend on
+    W.  A fork passes fn and its data without pickling them; the children run
+    numpy's element-wise, sorting and searching code only, never BLAS, whose
+    threads a fork does not copy.  A child's exception is raised here, and no
+    child outlives the call.
     """
-    ps = np.asarray(primes, dtype=np.int64).reshape(-1)
-    out = np.empty(ps.size, dtype=np.int64)
-    bad = np.flatnonzero(_residues(curve.discriminant(), ps) == 0)
-    if bad.size:
-        curve.check_good(int(ps[bad[0]]))  # raises, with the scalar message
-    lockstep = (ps > NAIVE_BSGS_CROSSOVER) & (ps < LOCKSTEP_P_MAX)
-    large = np.flatnonzero(lockstep)
-    large = large[np.argsort(ps[large], kind="stable")]
+    blocks = [(start, min(start + LOCKSTEP_BLOCK, n)) for start in range(0, n, LOCKSTEP_BLOCK)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1  # in-process off Linux
+    workers = min(cpus, n // LOCKSTEP_BLOCK)
+    if workers < 2:
+        return [fn(*block) for block in blocks]
+    ctx = multiprocessing.get_context("fork")
+    results: list = [None] * len(blocks)
+    children = []
+    try:
+        for w in range(1, workers):
+            reader, writer = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_run_share, args=(fn, blocks[w::workers], writer), daemon=True)
+            child.start()
+            writer.close()
+            children.append((child, reader))
+        results[::workers] = [fn(*block) for block in blocks[::workers]]
+        for w, (child, reader) in enumerate(children, 1):
+            try:
+                ok, payload = reader.recv()
+            except EOFError:
+                child.join()
+                raise ChildProcessError(f"a lockstep worker exited with code {child.exitcode}") from None
+            if not ok:
+                raise payload
+            results[w::workers] = payload
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, reader in children:
+            child.join()
+            reader.close()
+    return results
+
+
+def _run_share(fn, blocks, writer) -> None:
+    """Body of a _map_blocks child: send (True, results) or (False, the exception)."""
+    try:
+        payload = (True, [fn(*block) for block in blocks])
+    except Exception as exc:
+        payload = (False, exc)
+    writer.send(payload)
+    writer.close()
+
+
+def _lockstep_rows(curve: CurveSpec, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a_p for ascending primes 229 < p < LOCKSTEP_P_MAX, and the mask of the rows left open.
+
+    The primes run through lockstep blocks of LOCKSTEP_BLOCK rows: a first
+    pass with a point on E or on its twist; the rows left without exactly
+    one candidate order (together, across blocks) get a second pass with a
+    point on the other twist, whose candidates are intersected with the
+    first pass's.  The a_p of an open row is undefined.  Each pass maps its
+    blocks with _map_blocks, and a block's outcome depends on its rows
+    alone, so the result and the open rows do not depend on the CPU count.
+    """
+    n = ps.size
+    out = np.zeros(n, dtype=np.int64)
     salt = hash(curve.ainvs()) & 0xFFFFFFFF
+
+    def first_pass(start, stop):
+        return _lockstep_pass(ps[start:stop], *_short_models(curve, ps[start:stop]), salt)
 
     # pass 1; open rows are numbered in order of appearance, and keys1 holds
     # their candidates as (open row number << 34 | order), sorted
     open_idx, open_failed, open_chi, keys1 = [], [], [], []
     opened = 0
-    for start in range(0, large.size, LOCKSTEP_BLOCK):
-        idx = large[start : start + LOCKSTEP_BLOCK]
-        keys, failed, chi = _lockstep_pass(ps[idx], *_short_models(curve, ps[idx]), salt)
+    for start, (keys, failed, chi) in zip(range(0, n, LOCKSTEP_BLOCK), _map_blocks(first_pass, n)):
+        idx = np.arange(start, start + failed.size)
         rest = _settle(out, ps, idx, keys, failed)
         owner = keys >> _ROW_SHIFT
         kept = np.isin(owner, rest)
@@ -602,19 +675,43 @@ def ec_ap_array(curve: CurveSpec, primes) -> np.ndarray:
         opened += rest.size
 
     # pass 2 on the other twist; a row whose pass 1 failed keeps pass 2's candidates alone
-    scalar = [np.flatnonzero(~lockstep)]
-    if opened:
-        open_idx, open_failed, open_chi = map(np.concatenate, (open_idx, open_failed, open_chi))
-        keys1 = np.concatenate(keys1)
-    for start in range(0, opened, LOCKSTEP_BLOCK):
-        stop = min(start + LOCKSTEP_BLOCK, opened)
+    still_open = np.zeros(n, dtype=bool)
+    if not opened:
+        return out, still_open
+    open_idx, open_failed, open_chi, keys1 = map(np.concatenate, (open_idx, open_failed, open_chi, keys1))
+
+    def second_pass(start, stop):
         idx = open_idx[start:stop]
-        keys2, failed, _ = _lockstep_pass(ps[idx], *_short_models(curve, ps[idx]), salt, -open_chi[start:stop])
+        return _lockstep_pass(ps[idx], *_short_models(curve, ps[idx]), salt, -open_chi[start:stop])
+
+    for start, (keys2, failed, _) in zip(range(0, opened, LOCKSTEP_BLOCK), _map_blocks(second_pass, opened)):
+        stop = start + failed.size
+        idx = open_idx[start:stop]
         lo, hi = np.searchsorted(keys1, [start << _ROW_SHIFT, stop << _ROW_SHIFT])
         both = np.intersect1d(keys2, keys1[lo:hi] - (start << _ROW_SHIFT))
         keys = np.union1d(keys2[open_failed[start:stop][keys2 >> _ROW_SHIFT]], both)
-        scalar.append(idx[_settle(out, ps, idx, keys, failed)])
+        still_open[idx[_settle(out, ps, idx, keys, failed)]] = True
+    return out, still_open
 
-    for j in np.concatenate(scalar).tolist():
+
+def ec_ap_array(curve: CurveSpec, primes) -> np.ndarray:
+    """a_p for an array of good primes, as exact int64, in the order given.
+
+    The primes 229 < p < LOCKSTEP_P_MAX go, in increasing order, to the
+    lockstep engine _lockstep_rows; every other prime, and every row the
+    engine leaves open, goes to the scalar ec_ap in this process.  a_p is
+    exact whatever the path, so the result does not depend on how the
+    primes are split into calls, nor on the number of CPUs.
+    """
+    ps = np.asarray(primes, dtype=np.int64).reshape(-1)
+    out = np.empty(ps.size, dtype=np.int64)
+    bad = np.flatnonzero(_residues(curve.discriminant(), ps) == 0)
+    if bad.size:
+        curve.check_good(int(ps[bad[0]]))  # raises, with the scalar message
+    lockstep = (ps > NAIVE_BSGS_CROSSOVER) & (ps < LOCKSTEP_P_MAX)
+    large = np.flatnonzero(lockstep)
+    large = large[np.argsort(ps[large], kind="stable")]
+    out[large], still_open = _lockstep_rows(curve, ps[large])
+    for j in np.concatenate((np.flatnonzero(~lockstep), large[still_open])).tolist():
         out[j] = ec_ap(curve, int(ps[j]))
     return out

@@ -264,6 +264,20 @@ def test_least_prime_needs_exactly_one_source(cache_11a1, capsys):
         assert "give exactly one of --cache / --curve" in capsys.readouterr().err
 
 
+def test_least_prime_rejects_a_ceiling_below_2(cache_11a1, capsys):
+    for source in (["--cache", str(cache_11a1)], ["--curve", "0,-1,1,-10,-20", "--conductor", "11"]):
+        assert main(["least-prime", *source, "--interval", "half", "--ceiling", "1"]) == 2
+        assert "--ceiling must be >= 2, got 1" in capsys.readouterr().err
+
+
+def test_cache_into_a_missing_directory_names_the_cache(tmp_path, capsys):
+    out = tmp_path / "missing" / "s.stan"
+    assert main(["simulate", "--seed", "1", "--xmax", "100", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"No such file or directory: '{out}'" in err
+    assert ".tmp" not in err
+
+
 def test_cheb_sums_command(cache_11a1, tmp_path):
     out = tmp_path / "cs.csv"
     rc = main(["cheb-sums", "--cache", str(cache_11a1), "--m", "0", "--x", "100", "--out", str(out)])

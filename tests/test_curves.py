@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 import random
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 import satotate.curves as curves_module
 import satotate.discrepancy as discrepancy_module
-from satotate.angles import angle_from_ap, build_angle_series
+from satotate.angles import angle_from_ap, build_angle_series, save_cache
 from satotate.curves import (
     CURVE_11A1,
     CURVE_32A,
@@ -258,6 +260,24 @@ def test_ambiguous_row_takes_the_scalar_fallback(monkeypatch):
     assert got.tolist() == [ec_ap_naive(CURVE_11A1, p) for p in ps.tolist()]
 
 
+def test_exact_giant_hits_settle_in_the_first_pass():
+    # rows whose #E_f is a giant-step centre s_k, k >= 1: G_k = O, which once failed every such row
+    curve = CURVE_11A1
+    ps = good_primes(curve, 230, 20_000)[: curves_module.LOCKSTEP_BLOCK]
+    keys, failed, chi = curves_module._lockstep_pass(ps, *curves_module._short_models(curve, ps), 1)
+    m = math.isqrt(math.isqrt(4 * int(ps.max()))) + 1  # the pass's geometry: step 2m + 1, first centre q0
+    step = 2 * m + 1
+    q0 = (ps + 1 - np.array([math.isqrt(4 * p) for p in ps.tolist()]) + m) // step
+    order_e = np.array([p + 1 - ec_ap_naive(curve, p) for p in ps.tolist()])
+    order_f = np.where(chi == 1, order_e, 2 * ps + 2 - order_e)
+    hits = np.flatnonzero((order_f % step == 0) & (order_f // step > q0))
+    owner = keys >> curves_module._ROW_SHIFT
+    settled = [j for j in hits.tolist() if not failed[j] and np.count_nonzero(owner == j) == 1]
+    assert hits.size >= 20 and len(settled) >= 3 * hits.size // 4
+    for j in settled:
+        assert keys[owner == j][0] & curves_module._ORDER_MASK == order_e[j]
+
+
 def scalar_least_prime(thetas_by_p, interval):
     for p, theta in thetas_by_p:
         if interval.alpha <= theta <= interval.beta:
@@ -373,3 +393,100 @@ def test_ap_array_sends_every_non_lockstep_prime_to_ec_ap(monkeypatch):
     assert {2, 3, 7, 229, 3000000019} <= set(routed)  # open lockstep rows may join them
     monkeypatch.undo()
     assert got.tolist() == [ec_ap_naive(CURVE_11A1, p) if p <= 229 else ec_ap_bsgs(CURVE_11A1, p) for p in ps]
+
+
+# -- the engine over forked workers ----------------------------------------------
+
+
+def use_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(curves_module.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def recording_pids(monkeypatch, tmp_path):
+    """Wrap _lockstep_pass so every process that runs it leaves a file named after its pid."""
+    real = curves_module._lockstep_pass
+
+    def recorded(*args):
+        (tmp_path / f"pid-{os.getpid()}").touch()
+        return real(*args)
+
+    monkeypatch.setattr(curves_module, "_lockstep_pass", recorded)
+    return lambda: {int(f.name[4:]) for f in tmp_path.glob("pid-*")}
+
+
+# about 4200 good primes above 229: five lockstep blocks
+SPLIT_XMAX = 40_000
+
+
+@pytest.mark.parametrize("curve", BATTERY, ids=lambda c: c.label)
+def test_split_equals_serial(curve, monkeypatch, tmp_path):
+    pids = recording_pids(monkeypatch, tmp_path)
+    use_cpus(monkeypatch, 1)
+    save_cache(build_angle_series(curve, SPLIT_XMAX), tmp_path / "serial.stan")
+    assert pids() == {os.getpid()}
+    use_cpus(monkeypatch, 2)
+    save_cache(build_angle_series(curve, SPLIT_XMAX), tmp_path / "split.stan")
+    assert len(pids()) == 2
+    assert (tmp_path / "split.stan").read_bytes() == (tmp_path / "serial.stan").read_bytes()
+
+
+def test_split_makes_the_same_scalar_calls(monkeypatch):
+    ps = good_primes(CURVE_32A, 2, SPLIT_XMAX)
+    real = curves_module.ec_ap
+    calls = []
+
+    def counting_ec_ap(curve, p):
+        calls.append(p)
+        return real(curve, p)
+
+    monkeypatch.setattr(curves_module, "ec_ap", counting_ec_ap)
+    use_cpus(monkeypatch, 1)
+    serial = ec_ap_array(CURVE_32A, ps)
+    serial_calls, calls[:] = calls[:], []
+    use_cpus(monkeypatch, 2)
+    assert np.array_equal(ec_ap_array(CURVE_32A, ps), serial)
+    assert calls == serial_calls
+    assert any(p > 229 for p in calls)  # open lockstep rows, not only the naive primes
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_split_raises_a_worker_exception_and_leaves_no_process(where, monkeypatch):
+    parent = os.getpid()
+    real = curves_module._lockstep_pass
+
+    def failing(*args):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise AmbiguousOrder(f"lockstep pass failed in the {where}")
+        return real(*args)
+
+    monkeypatch.setattr(curves_module, "_lockstep_pass", failing)
+    use_cpus(monkeypatch, 2)
+    with pytest.raises(AmbiguousOrder, match=f"^lockstep pass failed in the {where}$"):
+        ec_ap_array(CURVE_11A1, good_primes(CURVE_11A1, 230, SPLIT_XMAX))
+    assert multiprocessing.active_children() == []
+
+
+def test_split_reports_a_worker_that_died(monkeypatch):
+    parent = os.getpid()
+    real = curves_module._lockstep_pass
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(*args)
+
+    monkeypatch.setattr(curves_module, "_lockstep_pass", dying)
+    use_cpus(monkeypatch, 2)
+    with pytest.raises(ChildProcessError, match="exited with code 3"):
+        ec_ap_array(CURVE_11A1, good_primes(CURVE_11A1, 230, SPLIT_XMAX))
+    assert multiprocessing.active_children() == []
+
+
+def test_small_inputs_start_no_process(monkeypatch, tmp_path):
+    pids = recording_pids(monkeypatch, tmp_path)
+    use_cpus(monkeypatch, 8)
+    ps = good_primes(CURVE_11A1, 230, 20_000)
+    ec_ap_array(CURVE_11A1, ps[: 2 * curves_module.LOCKSTEP_BLOCK - 1])  # one full block
+    with pytest.raises(SearchExceeded):  # a scan with no hit: blocks of 64, 128, ..., 1024 primes
+        least_prime_in_interval(CURVE_11A1, Interval(0.0, 1e-6), ceiling=20_000)
+    assert pids() == {os.getpid()}
