@@ -1,9 +1,10 @@
 """Command-line front end: build caches, run verification campaigns, emit CSV/JSON.
 
 Exit codes: 0 success, 2 usage/domain error, 3 I/O error.
-SATOTATE_THREADS overrides verify's --threads.  Output files never contain
-timestamps, so a command's output is byte-identical across runs and
-thread counts.
+SATOTATE_THREADS overrides verify's --threads, the cap on the threads that
+compute x rows at once.  Output files never contain timestamps, so a
+command's output is byte-identical across runs, thread counts and CPU
+counts.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ import numpy as np
 
 from satotate import prime_sums
 from satotate.angles import AngleSeries, FormMeta, build_angle_series, load_cache, save_cache
-from satotate.curves import CurveSpec
+from satotate.curves import CurveSpec, split_map
 from satotate.discrepancy import (
     DEFAULT_ET_CONSTANT,
     DEFAULT_GRH_LEAST_PRIME_C,
     DEFAULT_SEARCH_CEILING,
+    check_constant,
     discrepancy_report,
     fit_decay_exponent,
     joint_report,
@@ -157,6 +159,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for option, value in (("--c-et1", args.c_et1), ("--c-st1", args.c_st1), ("--c-grh", args.c_grh)):
+        check_constant(option, value)
     series = load_cache(args.cache)
     interval = parse_interval(args.interval)
     threads = resolve_threads(args)
@@ -173,19 +177,15 @@ def cmd_verify(args) -> int:
         )
         return row
 
-    if threads > 1 and len(xs) > 1:
-        # each row is a pure function of (series, interval, x): thread-order free
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one_row, xs))
-    else:
-        rows = [one_row(x) for x in xs]
+    # each row is a pure function of (series, interval, x), so the bytes do
+    # not depend on the thread count; rows split over threads split no further
+    rows = split_map(one_row, xs, cap=threads)
     write_rows(rows, args.format, args.out, "verify")
     return 0
 
 
 def cmd_joint(args) -> int:
+    check_constant("--c-et2", args.c_et2)
     s1 = load_cache(args.cache1)
     s2 = load_cache(args.cache2)
     i1 = parse_interval(args.interval1)
@@ -203,6 +203,7 @@ def cmd_least_prime(args) -> int:
         raise UsageError("give exactly one of --cache / --curve")
     if args.ceiling < 2:
         raise UsageError(f"--ceiling must be >= 2, got {args.ceiling}")
+    check_constant("--c", args.c)
     interval = parse_interval(args.interval)
     if args.cache is not None:
         source = load_cache(args.cache)

@@ -18,6 +18,7 @@ import math
 import multiprocessing
 import os
 import random
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -583,6 +584,62 @@ def _settle(out: np.ndarray, ps: np.ndarray, idx: np.ndarray, keys: np.ndarray, 
     return np.flatnonzero(~done)
 
 
+def _cpu_count() -> int:
+    """CPUs in the process's affinity set; 1 where the platform cannot tell (off Linux)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+# set on the main thread while it computes its share of a split_map with workers
+_in_share = threading.local()
+
+
+def split_map(fn, items, cap: int | None = None) -> list:
+    """[fn(item) for item in items], with the items shared among threads.
+
+    W = min(CPUs in the affinity set, len(items), cap) when called from the
+    main thread outside its share of another split, and W = 1 otherwise, so
+    a split never nests.  With W >= 2 the items are dealt round-robin to W
+    shares: the calling thread computes share 0 and W - 1 threads compute
+    the others.  fn must be a pure function of its item, and gains only
+    where it spends its time in code that releases the GIL (numpy loops).
+    The results come back in item order.  Every worker is joined before the
+    call returns, and then the exception of the first item that raised, in
+    item order, is raised, as a serial loop would raise it.
+    """
+    items = list(items)
+    workers = min(_cpu_count(), len(items), len(items) if cap is None else cap)
+    nested = threading.current_thread() is not threading.main_thread() or getattr(_in_share, "on", False)
+    if workers < 2 or nested:
+        return [fn(item) for item in items]
+    results: list = [None] * len(items)
+    failures: list = [None] * workers  # per share: (item index, exception) of its first failure
+
+    def run_share(share: int) -> None:
+        for i in range(share, len(items), workers):
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # re-raised in the calling thread
+                failures[share] = (i, exc)
+                return
+
+    threads = [threading.Thread(target=run_share, args=(w,)) for w in range(1, workers)]
+    _in_share.on = True
+    try:
+        for thread in threads:
+            thread.start()
+        run_share(0)
+    finally:
+        _in_share.on = False
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+    raised = [f for f in failures if f is not None]
+    if raised:
+        # an interrupt or exit outranks the errors of fn; among those, item order decides
+        raise min(raised, key=lambda f: (isinstance(f[1], Exception), f[0]))[1]
+    return results
+
+
 def _map_blocks(fn, n: int) -> list:
     """[fn(start, stop) for each block of LOCKSTEP_BLOCK rows of range(n)], on every CPU the process may use.
 
@@ -596,8 +653,7 @@ def _map_blocks(fn, n: int) -> list:
     child outlives the call.
     """
     blocks = [(start, min(start + LOCKSTEP_BLOCK, n)) for start in range(0, n, LOCKSTEP_BLOCK)]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1  # in-process off Linux
-    workers = min(cpus, n // LOCKSTEP_BLOCK)
+    workers = min(_cpu_count(), n // LOCKSTEP_BLOCK)
     if workers < 2:
         return [fn(*block) for block in blocks]
     ctx = multiprocessing.get_context("fork")

@@ -17,7 +17,7 @@ from itertools import islice
 import numpy as np
 
 from satotate.angles import AngleSeries, angle_from_ap
-from satotate.curves import LOCKSTEP_BLOCK, CurveSpec, ec_ap, ec_ap_array
+from satotate.curves import LOCKSTEP_BLOCK, CurveSpec, ec_ap, ec_ap_array, split_map
 from satotate.errors import DegenerateFit, SatotateError, SearchExceeded
 from satotate.measure import Interval, cheb_u_rows, cheb_u_table, mu_st, st_cdf
 from satotate.primes import PrimeRange, prime_count, primes_in
@@ -124,6 +124,12 @@ def erdos_turan_bound(series: AngleSeries, x: int, M: int) -> float:
 DEFAULT_ET_CONSTANT = 4.0
 
 
+def check_constant(name: str, value: float) -> None:
+    """Raise ValueError, naming name and value, unless value is a finite positive number."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def cheb_sum_bound(
     series: AngleSeries,
     x: int,
@@ -138,8 +144,7 @@ def cheb_sum_bound(
     """
     if M < 3:
         raise ValueError("M must be >= 3")
-    if c_et1 <= 0:
-        raise ValueError("c_et1 must be positive")
+    check_constant("c_et1", c_et1)
     _, thetas = series.upto(x)
     # U_1 .. U_M, each summed as it is made, so no (M+1) x n table is held
     sums = np.abs([np.sum(row) for row in islice(cheb_u_rows(M, thetas), 1, None)])
@@ -167,6 +172,7 @@ def cheb_sum_bound_2d(
 def _cheb2_bound(t1: np.ndarray, t2: np.ndarray, M: int, c_et2: float, pi_x: int) -> float:
     if M < 3:
         raise ValueError("M must be >= 3")
+    check_constant("c_et2", c_et2)
     u1 = cheb_u_table(M, t1)
     u2 = cheb_u_table(M, t2)
     cross = np.abs(u1 @ u2.T)  # (M+1, M+1); [m1, m2] = |sum_p U_m1 U_m2|
@@ -236,7 +242,11 @@ def grh_least_prime_ceiling(k: int, q: int, mu: float, c: float = DEFAULT_GRH_LE
     """ceil(c * mu^-4 * log(kq/mu)^2): the GRH-shape ceiling for comparison."""
     if mu <= 0:
         raise ValueError("interval must have positive measure")
-    return math.ceil(c * mu**-4 * math.log(k * q / mu) ** 2)
+    check_constant("c", c)
+    bound = c * mu**-4 * math.log(k * q / mu) ** 2
+    if not math.isfinite(bound):
+        raise ValueError(f"the GRH-shape ceiling overflows a float at c = {c!r}")
+    return math.ceil(bound)
 
 
 def least_prime_in_interval(
@@ -298,8 +308,7 @@ def theoretical_bound_curve(
     """
     if x < 3:
         raise ValueError("x must be >= 3")
-    if c <= 0:
-        raise ValueError("c must be positive")
+    check_constant("c", c)
     lx = math.log(x)
     if variant == "unconditional-st1":
         if pi_x is None:
@@ -316,6 +325,8 @@ def fit_decay_exponent(xs, errors) -> tuple[float, float]:
     errors = np.asarray(errors, dtype=float)
     if xs.size != errors.size or xs.size < 3:
         raise DegenerateFit("need at least 3 samples")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(errors))):
+        raise DegenerateFit("xs and errors must be finite")
     if np.any(errors <= 0):
         raise DegenerateFit("errors must be positive")
     if np.any(np.diff(xs) <= 0):
@@ -368,15 +379,27 @@ def discrepancy_report(
     expected = mu_st(interval) * pi_x
     _, thetas = series.upto(x)
     u = st_cdf(thetas)  # shared by the exact and the Erdos-Turan columns
+    # two shares, dealt round-robin: the Erdos-Turan column runs on a worker
+    # thread, the other two on this one (cheb_sum_bound stays here, where a
+    # caller's tracing of it sees it); errors come in column order
+    exact, et, cheb = split_map(
+        lambda column: column(),
+        (
+            lambda: uniform_interval_discrepancy(u),
+            lambda: _erdos_turan(u, M),
+            lambda: cheb_sum_bound(series, x, M, c_et1),
+        ),
+        cap=2,
+    )
     return DiscrepancyReport(
         x=x,
         pi_x=pi_x,
         count=count,
         expected=expected,
         error_abs=abs(count - expected),
-        exact_sup_discrepancy=uniform_interval_discrepancy(u),
-        et_bound=_erdos_turan(u, M),
-        cheb_bound=cheb_sum_bound(series, x, M, c_et1),
+        exact_sup_discrepancy=exact,
+        et_bound=et,
+        cheb_bound=cheb,
     )
 
 

@@ -19,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from satotate.angles import AngleSeries
+from satotate.curves import split_map
 from satotate.errors import BadPrime, RangeExceeded
 from satotate.measure import ChebU, cheb_u, gauss_legendre_nodes
 
@@ -66,9 +67,12 @@ def _residual(w: np.ndarray, logp_ld: np.ndarray, factor: np.ndarray, lx: LONGDO
     accumulated in extended precision to keep it far below 1e-9 relative.
     """
     w_ld = w.astype(LONGDOUBLE)
-    terms = w_ld * logp_ld
-    rhs = np.sum(terms) / lx + np.sum(terms * factor)
-    return float(abs(np.sum(w_ld) - rhs))
+    lhs = np.sum(w_ld)
+    # in place, in the order of the plain expressions: each of the rows that
+    # cheb_sum_rows runs at once holds one long-double array, not three
+    terms = np.multiply(w_ld, logp_ld, out=w_ld)
+    rhs = np.sum(terms) / lx + np.sum(np.multiply(terms, factor, out=terms))
+    return float(abs(lhs - rhs))
 
 
 def partial_summation_residual(series: AngleSeries, m: int, x: int) -> float:
@@ -81,8 +85,9 @@ def cheb_sum_rows(series: AngleSeries, ms, x: int) -> list[tuple[int, float, flo
 
     The sums of each row equal cheb_prime_sum(series, m, x) bit for bit;
     U_m is evaluated once per m, and log p, the sine-ratio split and the
-    extended-precision factor 1/log p - 1/log x once per x.  x < 3 raises
-    ValueError unless ms is empty.
+    extended-precision factor 1/log p - 1/log x once per x.  The rows are
+    shared among threads by split_map, so they do not depend on the CPU
+    count.  x < 3 raises ValueError unless ms is empty.
     """
     ps, thetas = series.upto(x)
     if ps.size == 0:
@@ -93,13 +98,14 @@ def cheb_sum_rows(series: AngleSeries, ms, x: int) -> list[tuple[int, float, flo
     cheb = ChebU(thetas)
     logp = np.log(ps)
     factors = _residual_factors(logp, x) if x >= 3 else None
-    rows = []
-    for m in ms:
+
+    def row(m: int) -> tuple[int, float, float, float]:
         u = cheb(m)
         if factors is None:
             raise ValueError("x must be >= 3")
-        rows.append((m, float(np.sum(u)), float(np.sum(u * logp)), _residual(u, *factors)))
-    return rows
+        return m, float(np.sum(u)), float(np.sum(u * logp)), _residual(u, *factors)
+
+    return split_map(row, ms)
 
 
 def partial_summation_residual_joint(

@@ -270,6 +270,26 @@ def test_least_prime_rejects_a_ceiling_below_2(cache_11a1, capsys):
         assert "--ceiling must be >= 2, got 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("verify --cache {c} --interval half --x 100 --out {o}", "--c-et1"),
+        ("verify --cache {c} --interval half --x 100 --out {o}", "--c-st1"),
+        ("verify --cache {c} --interval half --x 100 --out {o}", "--c-grh"),
+        ("joint --cache1 {c} --cache2 {c} --interval1 half --interval2 half --x 100 --out {o}", "--c-et2"),
+        ("least-prime --cache {c} --interval half", "--c"),
+    ],
+)
+def test_user_constants_must_be_finite_and_positive(cache_11a1, tmp_path, capsys, command, option, value):
+    args = command.format(c=cache_11a1, o=tmp_path / "o.csv").split()
+    assert main([*args, option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {option} must be finite and positive, got {float(value)!r}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_cache_into_a_missing_directory_names_the_cache(tmp_path, capsys):
     out = tmp_path / "missing" / "s.stan"
     assert main(["simulate", "--seed", "1", "--xmax", "100", "--out", str(out)]) == 3
@@ -317,6 +337,14 @@ def test_fit_command(capsys):
     rc = main(["fit", "--xs", "10,100,1000", "--errors", "0.1,0.01,0.001"])
     assert rc == 0
     assert "slope = -1.0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("xs, errors", [("1,2,3", "1,inf,3"), ("1,nan,3", "1,2,3")])
+def test_fit_rejects_non_finite_input(capfd, xs, errors):
+    assert main(["fit", "--xs", xs, "--errors", errors]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == "error: xs and errors must be finite\n"  # no LAPACK message either
 
 
 def test_fit_from_csv(cache_11a1, tmp_path, capsys):

@@ -331,6 +331,8 @@ def test_grh_ceiling_formula():
     assert grh_least_prime_ceiling(2, 11, mu, c=100.0) == math.ceil(
         100.0 * mu**-4 * math.log(2 * 11 / mu) ** 2
     )
+    with pytest.raises(ValueError, match="overflows a float at c = 1e"):
+        grh_least_prime_ceiling(2, 11, mu, c=1e306)
 
 
 # -- theoretical curves and fits -----------------------------------------------------------
@@ -373,6 +375,24 @@ def test_fit_degenerate():
         fit_decay_exponent([1.0, 2.0, 3.0], [0.1, -0.2, 0.3])
     with pytest.raises(DegenerateFit):
         fit_decay_exponent([1.0, 3.0, 2.0], [0.1, 0.2, 0.3])
+    for xs, errors in (([1.0, 2.0, 3.0], [0.1, np.inf, 0.3]), ([1.0, np.nan, 3.0], [0.1, 0.2, 0.3])):
+        with pytest.raises(DegenerateFit, match="must be finite"):
+            fit_decay_exponent(xs, errors)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -1.0, 0.0])
+def test_library_constants_must_be_finite_and_positive(series_11a1_small, series_37a1_small, c):
+    s1, s2 = series_11a1_small, series_37a1_small
+    calls = [
+        ("c_et1", lambda: cheb_sum_bound(s1, 1000, 10, c_et1=c)),
+        ("c_et2", lambda: cheb_sum_bound_2d(s1, s2, 1000, 10, c_et2=c)),
+        ("c", lambda: theoretical_bound_curve(1000, 2, 11, "grh-thm13", c=c)),
+        ("c", lambda: grh_least_prime_ceiling(2, 11, 0.25, c=c)),
+        ("c", lambda: least_prime_in_interval(s1, HALF, c=c)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got {c!r}$"):
+            call()
 
 
 def test_joint_report_fields(series_11a1_small, series_37a1_small):
