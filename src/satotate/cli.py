@@ -98,10 +98,14 @@ def resolve_threads(args) -> int:
     env = os.environ.get("SATOTATE_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            threads, name = int(env), "SATOTATE_THREADS"
         except ValueError as exc:
             raise UsageError(f"bad SATOTATE_THREADS {env!r}") from exc
-    return max(1, getattr(args, "threads", 1))
+    else:
+        threads, name = getattr(args, "threads", 1), "--threads"
+    if threads < 1:
+        raise UsageError(f"{name} must be at least 1, got {threads}")
+    return threads
 
 
 def write_rows(rows: list[dict], fmt: str, out, command: str) -> None:
@@ -161,9 +165,9 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     for option, value in (("--c-et1", args.c_et1), ("--c-st1", args.c_st1), ("--c-grh", args.c_grh)):
         check_constant(option, value)
+    threads = resolve_threads(args)
     series = load_cache(args.cache)
     interval = parse_interval(args.interval)
-    threads = resolve_threads(args)
     xs = parse_x_list(args.x)
 
     def one_row(x: int) -> dict:

@@ -223,8 +223,6 @@ def _ec_neg(P, p: int):
 
 
 def _ec_mul(k: int, P, a: int, p: int):
-    if k < 0:
-        return _ec_mul(-k, _ec_neg(P, p), a, p)
     R = None
     while k:
         if k & 1:
@@ -240,7 +238,7 @@ def _random_point(a: int, b: int, p: int, rng: random.Random):
         rhs = (x * x % p * x + a * x + b) % p
         y = sqrt_mod(rhs, p, rng)
         if y is not None:
-            return (x, y) if y else (x, 0)
+            return x, y
 
 
 def _annihilators_in_window(P, a: int, p: int, lo: int, hi: int) -> set[int]:
@@ -260,7 +258,7 @@ def _annihilators_in_window(P, a: int, p: int, lo: int, hi: int) -> set[int]:
         else:
             baby.setdefault(R[0], []).append((i, R[1]))
         R = _ec_add(R, P, a, p)
-    mP = R if m > 0 else None  # R = mP after the loop
+    mP = R  # R = mP after the loop
     target = _ec_neg(_ec_mul(lo, P, a, p), p)  # uP = target
     hits: set[int] = set()
     G = target
@@ -697,67 +695,19 @@ def _run_share(fn, blocks, writer) -> None:
     writer.close()
 
 
-def _lockstep_rows(curve: CurveSpec, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a_p for ascending primes 229 < p < LOCKSTEP_P_MAX, and the mask of the rows left open.
-
-    The primes run through lockstep blocks of LOCKSTEP_BLOCK rows: a first
-    pass with a point on E or on its twist; the rows left without exactly
-    one candidate order (together, across blocks) get a second pass with a
-    point on the other twist, whose candidates are intersected with the
-    first pass's.  The a_p of an open row is undefined.  Each pass maps its
-    blocks with _map_blocks, and a block's outcome depends on its rows
-    alone, so the result and the open rows do not depend on the CPU count.
-    """
-    n = ps.size
-    out = np.zeros(n, dtype=np.int64)
-    salt = hash(curve.ainvs()) & 0xFFFFFFFF
-
-    def first_pass(start, stop):
-        return _lockstep_pass(ps[start:stop], *_short_models(curve, ps[start:stop]), salt)
-
-    # pass 1; open rows are numbered in order of appearance, and keys1 holds
-    # their candidates as (open row number << 34 | order), sorted
-    open_idx, open_failed, open_chi, keys1 = [], [], [], []
-    opened = 0
-    for start, (keys, failed, chi) in zip(range(0, n, LOCKSTEP_BLOCK), _map_blocks(first_pass, n)):
-        idx = np.arange(start, start + failed.size)
-        rest = _settle(out, ps, idx, keys, failed)
-        owner = keys >> _ROW_SHIFT
-        kept = np.isin(owner, rest)
-        keys1.append((opened + np.searchsorted(rest, owner[kept])) << _ROW_SHIFT | keys[kept] & _ORDER_MASK)
-        open_idx.append(idx[rest])
-        open_failed.append(failed[rest])
-        open_chi.append(chi[rest])
-        opened += rest.size
-
-    # pass 2 on the other twist; a row whose pass 1 failed keeps pass 2's candidates alone
-    still_open = np.zeros(n, dtype=bool)
-    if not opened:
-        return out, still_open
-    open_idx, open_failed, open_chi, keys1 = map(np.concatenate, (open_idx, open_failed, open_chi, keys1))
-
-    def second_pass(start, stop):
-        idx = open_idx[start:stop]
-        return _lockstep_pass(ps[idx], *_short_models(curve, ps[idx]), salt, -open_chi[start:stop])
-
-    for start, (keys2, failed, _) in zip(range(0, opened, LOCKSTEP_BLOCK), _map_blocks(second_pass, opened)):
-        stop = start + failed.size
-        idx = open_idx[start:stop]
-        lo, hi = np.searchsorted(keys1, [start << _ROW_SHIFT, stop << _ROW_SHIFT])
-        both = np.intersect1d(keys2, keys1[lo:hi] - (start << _ROW_SHIFT))
-        keys = np.union1d(keys2[open_failed[start:stop][keys2 >> _ROW_SHIFT]], both)
-        still_open[idx[_settle(out, ps, idx, keys, failed)]] = True
-    return out, still_open
-
-
 def ec_ap_array(curve: CurveSpec, primes) -> np.ndarray:
     """a_p for an array of good primes, as exact int64, in the order given.
 
-    The primes 229 < p < LOCKSTEP_P_MAX go, in increasing order, to the
-    lockstep engine _lockstep_rows; every other prime, and every row the
-    engine leaves open, goes to the scalar ec_ap in this process.  a_p is
-    exact whatever the path, so the result does not depend on how the
-    primes are split into calls, nor on the number of CPUs.
+    The primes 229 < p < LOCKSTEP_P_MAX run, in increasing order, through
+    lockstep blocks of LOCKSTEP_BLOCK rows: a first pass with a point on E
+    or on its twist, then a second pass with a point on the other twist for
+    the rows the first left without exactly one candidate order (together,
+    across blocks).  Each pass settles a row on its own candidates.  Every
+    other prime, and every row still open, goes to the scalar ec_ap in this
+    process.  Each pass maps its blocks with _map_blocks, a block's outcome
+    depends on its rows alone, and a_p is exact whatever the path, so the
+    result depends neither on how the primes are split into calls nor on
+    the number of CPUs.
     """
     ps = np.asarray(primes, dtype=np.int64).reshape(-1)
     out = np.empty(ps.size, dtype=np.int64)
@@ -765,9 +715,24 @@ def ec_ap_array(curve: CurveSpec, primes) -> np.ndarray:
     if bad.size:
         curve.check_good(int(ps[bad[0]]))  # raises, with the scalar message
     lockstep = (ps > NAIVE_BSGS_CROSSOVER) & (ps < LOCKSTEP_P_MAX)
-    large = np.flatnonzero(lockstep)
-    large = large[np.argsort(ps[large], kind="stable")]
-    out[large], still_open = _lockstep_rows(curve, ps[large])
-    for j in np.concatenate((np.flatnonzero(~lockstep), large[still_open])).tolist():
+    rows = np.flatnonzero(lockstep)
+    rows = rows[np.argsort(ps[rows], kind="stable")]
+    salt = hash(curve.ainvs()) & 0xFFFFFFFF
+    chi_wanted = None
+
+    def block(start, stop):  # rows[start:stop] of the current pass
+        p = ps[rows[start:stop]]
+        wanted = None if chi_wanted is None else chi_wanted[start:stop]
+        return _lockstep_pass(p, *_short_models(curve, p), salt, wanted)
+
+    for _ in range(2):  # the rows pass 1 leaves open go to pass 2 with a point on the other twist
+        is_open, chi = np.zeros(rows.size, dtype=bool), np.zeros(rows.size, dtype=np.int64)
+        blocks = _map_blocks(block, rows.size)
+        for start, (keys, failed, block_chi) in zip(range(0, rows.size, LOCKSTEP_BLOCK), blocks):
+            stop = start + failed.size
+            is_open[start + _settle(out, ps, rows[start:stop], keys, failed)] = True
+            chi[start:stop] = block_chi
+        rows, chi_wanted = rows[is_open], -chi[is_open]
+    for j in np.concatenate((np.flatnonzero(~lockstep), rows)).tolist():
         out[j] = ec_ap(curve, int(ps[j]))
     return out

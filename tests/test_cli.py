@@ -208,6 +208,26 @@ def test_threads_env_override(cache_11a1, tmp_path, monkeypatch):
     assert out.read_bytes() == ref.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "env, argv, message",
+    [
+        (None, ["--threads", "-5"], "--threads must be at least 1, got -5"),
+        ("0", [], "SATOTATE_THREADS must be at least 1, got 0"),
+        ("-3", [], "SATOTATE_THREADS must be at least 1, got -3"),
+    ],
+)
+def test_threads_below_one_exit_2(cache_11a1, tmp_path, monkeypatch, capsys, env, argv, message):
+    if env is None:
+        monkeypatch.delenv("SATOTATE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SATOTATE_THREADS", env)
+    out = tmp_path / "v.csv"
+    args = ["verify", "--cache", str(cache_11a1), "--interval", "half", "--x", "100", "--out", str(out), *argv]
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_joint_command(cache_11a1, cache_37a1, tmp_path):
     out = tmp_path / "j.csv"
     rc = main(

@@ -260,6 +260,48 @@ def test_ambiguous_row_takes_the_scalar_fallback(monkeypatch):
     assert got.tolist() == [ec_ap_naive(CURVE_11A1, p) for p in ps.tolist()]
 
 
+def test_row_left_ambiguous_by_pass_1_settles_in_pass_2(monkeypatch):
+    ps = good_primes(CURVE_11A1, 230, 5000)
+    forced = int(ps[100])
+    assert ec_ap_naive(CURVE_11A1, forced) != 0
+    real_pass, real_bsgs = curves_module._lockstep_pass, curves_module.ec_ap_bsgs
+    fallback_primes = []
+
+    def ambiguous_first_pass(p, A, B, salt, chi_wanted=None):
+        keys, failed, chi = real_pass(p, A, B, salt, chi_wanted)
+        if chi_wanted is None:  # a second candidate order p + 1 (a_p = 0) in pass 1 only
+            keys = np.union1d(keys, np.flatnonzero(p == forced) << curves_module._ROW_SHIFT | (forced + 1))
+        return keys, failed, chi
+
+    def counting_bsgs(curve, p):
+        fallback_primes.append(p)
+        return real_bsgs(curve, p)
+
+    monkeypatch.setattr(curves_module, "_lockstep_pass", ambiguous_first_pass)
+    monkeypatch.setattr(curves_module, "ec_ap_bsgs", counting_bsgs)
+    got = ec_ap_array(CURVE_11A1, ps)
+    assert forced not in fallback_primes
+    assert got.tolist() == [ec_ap_naive(CURVE_11A1, p) for p in ps.tolist()]
+
+
+def test_engine_settles_almost_every_row(monkeypatch):
+    # correct a_p alone cannot show a broken engine: every row it leaves open still gets a scalar a_p
+    real_bsgs = curves_module.ec_ap_bsgs
+    fallbacks, rows = 0, 0
+
+    def counting_bsgs(curve, p):
+        nonlocal fallbacks
+        fallbacks += 1
+        return real_bsgs(curve, p)
+
+    monkeypatch.setattr(curves_module, "ec_ap_bsgs", counting_bsgs)
+    for curve in BATTERY:
+        ps = good_primes(curve, 230, 100_000)
+        ec_ap_array(curve, ps)
+        rows += ps.size
+    assert fallbacks <= 0.005 * rows, (fallbacks, rows)
+
+
 def test_exact_giant_hits_settle_in_the_first_pass():
     # rows whose #E_f is a giant-step centre s_k, k >= 1: G_k = O, which once failed every such row
     curve = CURVE_11A1
