@@ -64,6 +64,7 @@ def main() -> int:
     print(f"\ninterval [{interval.alpha:.4f}, {interval.beta:.4f}], mu_ST = {mu:.6f}")
     print(f"{'x':>9} {'count':>8} {'norm err':>12} {'exact disc':>12} {'ET bound':>10} "
           f"{'st1 shape':>11} {'grh shape':>11}")
+    k, q = series.meta.weight_k, series.meta.level_q
     errs = []
     for x in xs:
         pi_x = pi_of_x(series, x)
@@ -74,8 +75,8 @@ def main() -> int:
             f"{x:>9} {count:>8} {err:>12.6f} "
             f"{exact_discrepancy_1d(series, x):>12.6f} "
             f"{erdos_turan_bound(series, x, args.M):>10.5f} "
-            f"{theoretical_bound_curve(x, 2, curve.conductor, 'unconditional-st1', pi_x=pi_x):>11.1f} "
-            f"{theoretical_bound_curve(x, 2, curve.conductor, 'grh-thm13'):>11.1f}"
+            f"{theoretical_bound_curve(x, k, q, 'unconditional-st1', pi_x=pi_x):>11.1f} "
+            f"{theoretical_bound_curve(x, k, q, 'grh-thm13'):>11.1f}"
         )
 
     if len(xs) >= 3:

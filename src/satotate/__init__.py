@@ -17,7 +17,6 @@ from satotate.angles import (
     FormMeta,
     angle_from_ap,
     build_angle_series,
-    cm_heuristic,
     load_cache,
     save_cache,
 )
@@ -56,7 +55,6 @@ from satotate.measure import (
 )
 from satotate.prime_sums import (
     SmoothingWeight,
-    lambda_sym,
     partial_summation_residual,
     partial_summation_residual_joint,
     smoothed_psi,
@@ -84,7 +82,6 @@ __all__ = [
     "cheb_sum_bound",
     "cheb_sum_bound_2d",
     "cheb_u",
-    "cm_heuristic",
     "count_in_interval",
     "discrepancy_report",
     "ec_ap",
@@ -98,7 +95,6 @@ __all__ = [
     "joint_box_discrepancy",
     "joint_count",
     "joint_report",
-    "lambda_sym",
     "least_prime_in_interval",
     "load_cache",
     "mu_st",

@@ -20,10 +20,9 @@ import numpy as np
 
 from satotate.curves import CurveSpec, ec_ap_array
 from satotate.errors import DeligneViolation, FormatError, MissingPrime, RangeExceeded
-from satotate.primes import primes_array
+from satotate.primes import prime_divisors, primes_array
 
 DELIGNE_SLACK = 1e-12
-CM_ZERO_FRACTION_THRESHOLD = 0.3
 
 CACHE_MAGIC = b"STAN"
 CACHE_VERSION = 1
@@ -34,6 +33,11 @@ _COEFF_DTYPE = np.dtype([("p", np.int64), ("ap", np.float64)])
 
 @dataclass(frozen=True)
 class FormMeta:
+    """Label, weight k and level q of a form; k and q fit the STAN header (u32, u64).
+
+    The bad primes <= B of the form are prime_divisors(level_q, B).
+    """
+
     label: str
     weight_k: int
     level_q: int
@@ -41,8 +45,17 @@ class FormMeta:
     def __post_init__(self) -> None:
         if self.weight_k < 2 or self.weight_k % 2 != 0:
             raise ValueError("weight must be an even integer >= 2")
+        if self.weight_k >= 1 << 32:
+            raise ValueError(f"weight {self.weight_k} must be below 2^32")
         if self.level_q < 1:
             raise ValueError("level must be >= 1")
+        if self.level_q >= 1 << 64:
+            raise ValueError(f"level {self.level_q} must be below 2^64")
+
+
+def curve_meta(curve: CurveSpec) -> FormMeta:
+    """The FormMeta of an elliptic curve over Q: weight 2, level its conductor."""
+    return FormMeta(curve.label, 2, curve.conductor)
 
 
 @dataclass(eq=False)
@@ -84,12 +97,6 @@ class AngleSeries:
         p2, t2 = other.upto(x)
         pos, found = _find(p2, p1)
         return p1[found], t1[found], t2[pos[found]]
-
-    def theta_at(self, p: int) -> float:
-        i = int(np.searchsorted(self.primes, p))
-        if i >= self.primes.size or self.primes[i] != p:
-            raise KeyError(p)
-        return float(self.thetas[i])
 
     def same_points(self, other: "AngleSeries") -> bool:
         return bool(
@@ -148,11 +155,10 @@ def build_angle_series(source: "CurveSpec | str | Path", x_max: int) -> AngleSer
     if isinstance(source, (str, Path)):
         return _series_from_coeff_file(Path(source), x_max)
 
-    curve = source
-    meta = FormMeta(curve.label, 2, curve.conductor)
+    meta = curve_meta(source)
     ps = primes_array(2, x_max)
-    good = ps[curve.conductor % ps != 0]
-    thetas = angle_from_ap(ec_ap_array(curve, good), good, 2)
+    good = ps[~np.isin(ps, prime_divisors(meta.level_q, x_max))]
+    thetas = angle_from_ap(ec_ap_array(source, good), good, meta.weight_k)
     return AngleSeries(meta, x_max, good, thetas)
 
 
@@ -197,6 +203,10 @@ def read_coeff_file(path: Path) -> tuple[FormMeta, np.ndarray, np.ndarray, bool]
         level = int(header["level"])
     except ValueError as exc:
         raise FormatError(f"{path}: non-integer weight/level") from exc
+    try:
+        meta = FormMeta(header["label"], weight, level)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     if header["normalized"] not in ("true", "false"):
         raise FormatError(f"{path}: normalized must be 'true' or 'false'")
     normalized = header["normalized"] == "true"
@@ -225,7 +235,6 @@ def read_coeff_file(path: Path) -> tuple[FormMeta, np.ndarray, np.ndarray, bool]
         raise FormatError(
             f"{path}: p must be positive and strictly ascending, got p = {primes[i]} at entry {i + 1}"
         )
-    meta = FormMeta(header["label"], weight, level)
     return meta, primes, aps, normalized
 
 
@@ -297,7 +306,7 @@ def _series_from_coeff_file(path: Path, x_max: int) -> AngleSeries:
     if not is_prime.all():
         bad_p = listed[np.argmin(is_prime)]
         raise FormatError(f"{path}: entry at p = {bad_p} <= {x_max}, which is not prime")
-    good = ps[meta.level_q % ps != 0]
+    good = ps[~np.isin(ps, prime_divisors(meta.level_q, x_max))]
     pos, found = _find(primes, good)
     n = good.size if found.all() else int(np.argmin(found))
     ap, p = aps[pos[:n]], good[:n]
@@ -362,13 +371,16 @@ def load_cache(path: "str | Path") -> AngleSeries:
             raise FormatError(f"{path}: bad magic {magic!r}, expected {CACHE_MAGIC!r}")
         if version != CACHE_VERSION:
             raise FormatError(f"{path}: version {version} found, expected {CACHE_VERSION}")
+        try:
+            meta = FormMeta(path.stem, weight, level)
+        except ValueError as exc:
+            raise FormatError(f"{path}: bad header: {exc}") from exc
         body_size = os.fstat(fh.fileno()).st_size - _HEADER.size
         if body_size != count * _RECORD_DTYPE.itemsize:
             raise FormatError(
                 f"{path}: truncated body: {body_size} bytes for {count} records"
             )
         records = np.fromfile(fh, dtype=_RECORD_DTYPE, count=count)
-    meta = FormMeta(path.stem, int(weight), int(level))
     try:
         return AngleSeries(
             meta,
@@ -379,19 +391,3 @@ def load_cache(path: "str | Path") -> AngleSeries:
     except ValueError as exc:
         raise FormatError(f"{path}: bad records: {exc}") from exc
 
-
-# -- CM screening --------------------------------------------------------------
-
-
-def cm_heuristic(series: AngleSeries) -> tuple[float, str]:
-    """(zero_fraction, verdict): flag suspiciously many a_p = 0.
-
-    CM forms have a_p = 0 on the inert primes (density 1/2); for non-CM forms
-    the zero density decays.  The 0.3 cut sits between those regimes.  This
-    is advisory only; non-CM remains a user assertion.
-    """
-    if len(series) == 0:
-        raise ValueError("series is empty")
-    zero_fraction = float(np.mean(series.thetas == math.pi / 2.0))
-    verdict = "suspect-CM" if zero_fraction > CM_ZERO_FRACTION_THRESHOLD else "plausibly-non-CM"
-    return zero_fraction, verdict

@@ -11,38 +11,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from itertools import islice
 
 import numpy as np
 
-from satotate.angles import AngleSeries, angle_from_ap
+from satotate.angles import AngleSeries, angle_from_ap, curve_meta
 from satotate.curves import LOCKSTEP_BLOCK, CurveSpec, ec_ap, ec_ap_array, split_map
 from satotate.errors import DegenerateFit, SatotateError, SearchExceeded
 from satotate.measure import Interval, cheb_u_rows, cheb_u_table, mu_st, st_cdf
-from satotate.primes import PrimeRange, prime_count, primes_in
-
-
-@lru_cache(maxsize=None)
-def _level_prime_divisors(q: int) -> tuple[int, ...]:
-    out = []
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            out.append(d)
-            while q % d == 0:
-                q //= d
-        d += 1
-    if q > 1:
-        out.append(q)
-    return tuple(out)
+from satotate.primes import PrimeRange, prime_count, prime_divisors, primes_in
 
 
 def pi_of_x(series: AngleSeries, x: int) -> int:
     """pi(x) recovered from the series: good primes <= x plus ramified p <= x."""
     good, _ = series.upto(x)
-    ramified = sum(1 for p in _level_prime_divisors(series.meta.level_q) if p <= x)
-    return int(good.size) + ramified
+    return int(good.size) + len(prime_divisors(series.meta.level_q, x))
 
 
 def count_in_interval(series: AngleSeries, interval: Interval, x: int) -> int:
@@ -265,10 +248,10 @@ def least_prime_in_interval(
     mu = mu_st(interval)
     if mu <= 0.0:
         raise ValueError("interval must have positive Sato-Tate measure")
+    meta = source.meta if isinstance(source, AngleSeries) else curve_meta(source)
+    bound = grh_least_prime_ceiling(meta.weight_k, meta.level_q, mu, c)
 
     if isinstance(source, AngleSeries):
-        k, q = source.meta.weight_k, source.meta.level_q
-        bound = grh_least_prime_ceiling(k, q, mu, c)
         limit = min(ceiling, source.x_max)
         ps, thetas = source.upto(limit)
         hits = np.flatnonzero(interval.contains(thetas))
@@ -277,15 +260,15 @@ def least_prime_in_interval(
         return LeastPrimeResult(int(ps[hits[0]]), bound)
 
     curve = source
-    bound = grh_least_prime_ceiling(2, curve.conductor, mu, c)
-    good = (p for p in primes_in(PrimeRange(2, ceiling)) if curve.conductor % p != 0)
+    bad = prime_divisors(meta.level_q, ceiling)
+    good = (p for p in primes_in(PrimeRange(2, ceiling)) if p not in bad)
     size = 64
     while block := list(islice(good, size)):
         try:
-            thetas = angle_from_ap(ec_ap_array(curve, block), block, 2).tolist()
+            thetas = angle_from_ap(ec_ap_array(curve, block), block, meta.weight_k).tolist()
         except SatotateError:
             # recount one prime at a time, so an error past the hit stays unseen
-            thetas = (angle_from_ap(float(ec_ap(curve, p)), p, 2) for p in block)
+            thetas = (angle_from_ap(float(ec_ap(curve, p)), p, meta.weight_k) for p in block)
         for p, theta in zip(block, thetas):
             if interval.contains(theta):
                 return LeastPrimeResult(p, bound)

@@ -33,10 +33,6 @@ class RangeExceeded(SatotateError):
     """A query asked for x beyond the coverage of the angle series."""
 
 
-class BadPrime(SatotateError):
-    """The requested prime is not a good prime of the series."""
-
-
 class SearchExceeded(SatotateError):
     """A streaming prime search hit its ceiling without a match."""
 

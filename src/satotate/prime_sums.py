@@ -20,7 +20,7 @@ import numpy as np
 
 from satotate.angles import AngleSeries
 from satotate.curves import split_map
-from satotate.errors import BadPrime, RangeExceeded
+from satotate.errors import RangeExceeded
 from satotate.measure import ChebU, cheb_u, gauss_legendre_nodes
 
 LONGDOUBLE = np.longdouble
@@ -118,24 +118,6 @@ def partial_summation_residual_joint(
     if ps.size == 0:
         return 0.0
     return _residual(cheb_u(m1, t1) * cheb_u(m2, t2), *_residual_factors(np.log(ps), x))
-
-
-def lambda_sym(series: AngleSeries, m: int, p: int, ell: int) -> float:
-    """Prime-power coefficient of -L'/L for the m-th symmetric power at p^ell.
-
-    Equals U_m(cos(ell * theta_p)) log p at good p: the Satake parameters at
-    a good prime are e^(i (2j - m) theta_p), and their ell-th power sum is
-    the same geometric sum evaluated at ell * theta_p.
-    """
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    try:
-        theta = series.theta_at(p)
-    except KeyError:
-        raise BadPrime(f"{p} is not a good prime of the series") from None
-    return cheb_u(m, _fold(ell * theta)) * math.log(p)
 
 
 def _fold(angle):

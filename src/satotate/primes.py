@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -98,3 +99,29 @@ def prime_count(x: int) -> int:
     for _, mask in _odd_segments(PrimeRange(2, x)):
         count += int(np.count_nonzero(mask))
     return count
+
+
+@lru_cache(maxsize=256)
+def prime_divisors(n: int, bound: int) -> tuple[int, ...]:
+    """The primes p <= bound that divide n, in increasing order; 1 <= n < 2^64.
+
+    This is the one bad-prime rule: the bad primes <= B of a form of level q
+    are prime_divisors(q, B).  Trial division runs over the sieved primes up
+    to min(bound, sqrt(n)), one segment at a time, and stops once the primes
+    pass the square root of what is left of n; that rest is then 1 or one
+    prime, which counts when it is <= bound.  Memoised per (n, bound).
+    """
+    found: list[int] = []
+    rest = n
+    limit = min(bound, math.isqrt(n))
+    if limit >= 2:
+        for seg in _prime_segments(PrimeRange(2, limit)):
+            if seg[0] > math.isqrt(rest):
+                break
+            for p in seg[np.uint64(rest) % seg.astype(np.uint64) == 0].tolist():
+                found.append(p)
+                while rest % p == 0:
+                    rest //= p
+    if 1 < rest <= bound:
+        found.append(rest)
+    return tuple(found)

@@ -13,7 +13,6 @@ from satotate.angles import (
     FormMeta,
     angle_from_ap,
     build_angle_series,
-    cm_heuristic,
     load_cache,
     read_coeff_file,
     save_cache,
@@ -368,31 +367,6 @@ def test_normalized_coeff_file_rejects_non_finite(tmp_path, value):
     )
     with pytest.raises(FormatError, match="finite"):
         read_coeff_file(path)
-
-
-def test_cm_heuristic_single_zero_point():
-    s = toy_series([2], [math.pi / 2])
-    zf, verdict = cm_heuristic(s)
-    assert zf == 1.0 and verdict == "suspect-CM"
-
-
-def test_cm_heuristic_small_11a1():
-    s = build_angle_series(CURVE_11A1, 10_000)
-    zf, verdict = cm_heuristic(s)
-    assert zf < 0.1
-    assert verdict == "plausibly-non-CM"
-
-
-def test_cm_heuristic_cm_curve(series_32a_medium):
-    zf, verdict = cm_heuristic(series_32a_medium)
-    assert abs(zf - 0.5) < 0.02
-    assert verdict == "suspect-CM"
-
-
-def test_cm_heuristic_large_11a1(series_11a1_big):
-    zf, verdict = cm_heuristic(series_11a1_big)
-    assert zf < 0.1
-    assert verdict == "plausibly-non-CM"
 
 
 def test_point_count_at_1e6(series_11a1_big):

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -400,6 +401,92 @@ def test_angles_nan_coefficient_exits_3(tmp_path, capsys):
     assert main(["angles", "--coeffs", str(coeffs), "--xmax", "3", "--out", str(tmp_path / "x.stan")]) == 3
     assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "x.stan").exists()
+
+
+@pytest.mark.parametrize(
+    "weight, level, message",
+    [
+        ("3", "11", "weight must be an even integer >= 2"),
+        ("2", "0", "level must be >= 1"),
+        ("2", str(10**20), f"level {10**20} must be below 2^64"),
+        ("2", str(2**64), f"level {2**64} must be below 2^64"),
+        (str(2**32 + 2), "11", "must be below 2^32"),
+    ],
+)
+def test_coeff_header_weight_or_level_out_of_range_exits_3(tmp_path, capsys, weight, level, message):
+    coeffs = tmp_path / "h.coeffs"
+    coeffs.write_text(f"# satotate-coeffs v1\nlabel=x\nweight={weight}\nlevel={level}\nnormalized=false\n2 -2\n3 -1\n")
+    assert main(["angles", "--coeffs", str(coeffs), "--xmax", "3", "--out", str(tmp_path / "x.stan")]) == 3
+    err = capsys.readouterr().err
+    assert str(coeffs) in err and message in err
+
+
+@pytest.mark.parametrize(
+    "weight, level, message", [(3, 1, "weight must be an even integer >= 2"), (2, 0, "level must be >= 1")]
+)
+def test_cache_header_weight_or_level_out_of_range_exits_3(tmp_path, capsys, weight, level, message):
+    cache = tmp_path / "h.stan"
+    assert main(["simulate", "--seed", "1", "--xmax", "100", "--out", str(cache)]) == 0
+    blob = bytearray(cache.read_bytes())
+    struct.pack_into("<QI", blob, 8, level, weight)
+    cache.write_bytes(blob)
+    capsys.readouterr()
+    assert main(["verify", "--cache", str(cache), "--interval", "half", "--x", "50"]) == 3
+    err = capsys.readouterr().err
+    assert str(cache) in err and message in err
+
+
+@pytest.mark.parametrize("command", ["angles", "least-prime"])
+def test_curve_conductor_beyond_2_64_exits_2(tmp_path, capsys, command):
+    # 11^20 passes the gcd check against 11a1's discriminant -11^5, but no STAN header holds it
+    argv = [command, "--curve", "0,-1,1,-10,-20", "--conductor", str(11**20)]
+    if command == "angles":
+        argv += ["--xmax", "100", "--out", str(tmp_path / "x.stan")]
+    else:
+        argv += ["--interval", "half"]
+    assert main(argv) == 2
+    assert f"level {11**20} must be below 2^64" in capsys.readouterr().err
+
+
+def test_verify_on_a_large_prime_level_counts_good_primes(tmp_path, capsys):
+    # the level 2^61 - 1 has no prime factor <= x, so pi_x is the number of good primes
+    cache = tmp_path / "m61.stan"
+    assert main(["simulate", "--seed", "1", "--xmax", "1000", "--out", str(cache)]) == 0
+    blob = bytearray(cache.read_bytes())
+    struct.pack_into("<Q", blob, 8, 2**61 - 1)
+    cache.write_bytes(blob)
+    capsys.readouterr()
+    assert main(["verify", "--cache", str(cache), "--interval", "half", "--x", "500,1000"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [int(row.split(",")[1]) for row in rows] == [prime_count(500), prime_count(1000)]
+
+
+def test_every_header_bit_flip_and_truncation_exits_cleanly(tmp_path, capsys):
+    good = tmp_path / "sim.stan"
+    assert main(["simulate", "--seed", "5", "--xmax", "1000", "--out", str(good)]) == 0
+    blob = good.read_bytes()
+    size = struct.calcsize("<4sIQIIQQ")
+    variants = [blob[:n] for n in range(size)]
+    for bit in range(8 * size):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        variants.append(bytes(flipped))
+    bad = str(tmp_path / "bad.stan")
+    commands = (
+        ["verify", "--cache", bad, "--interval", "half", "--x", "500", "--M", "3"],
+        ["joint", "--cache1", bad, "--cache2", str(good), "--interval1", "half", "--interval2", "middle",
+         "--x", "500", "--M", "3", "--grid", "4"],
+        ["least-prime", "--cache", bad, "--interval", "middle"],
+    )
+    for variant in variants:
+        Path(bad).write_bytes(variant)
+        for argv in commands:
+            try:
+                code = main(argv)
+            except Exception as exc:  # a traceback at the command line
+                pytest.fail(f"{argv[0]} on header {variant[:size].hex()}: {exc!r}")
+            assert code in (0, 2, 3), (argv[0], variant[:size].hex(), code)
+    capsys.readouterr()
 
 
 def test_simulate_deterministic(tmp_path):

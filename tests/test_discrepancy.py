@@ -25,7 +25,7 @@ from satotate.discrepancy import (
 )
 from satotate.errors import DegenerateFit, RangeExceeded, SearchExceeded
 from satotate.measure import Interval, cheb_u, mu_st, st_cdf, st_quantile
-from satotate.primes import primes_array
+from satotate.primes import prime_divisors, primes_array
 
 from oracles import brute_force_interval_discrepancy, synthetic_series
 
@@ -411,12 +411,11 @@ def test_joint_report_fields(series_11a1_small, series_37a1_small):
 
 
 def test_pi_of_x_factors_each_level_once():
-    from satotate.discrepancy import _level_prime_divisors
-
     series = synthetic_series(200, seed=3, level=7907 * 7919)
-    before = _level_prime_divisors.cache_info()
-    counts = [pi_of_x(series, x) for x in (1, 2, 100, series.x_max)]
-    after = _level_prime_divisors.cache_info()
-    assert after.misses - before.misses <= 1 and after.hits - before.hits >= 3
-    assert _level_prime_divisors(7907 * 7919) == (7907, 7919)
-    assert counts == [0, 1, 25, 200]  # both ramified primes lie above x_max = 1223
+    xs = (1, 2, 100, series.x_max)
+    before = prime_divisors.cache_info()
+    counts = [pi_of_x(series, x) for x in xs + xs]
+    after = prime_divisors.cache_info()
+    # one trial division per (level, x): the second pass over xs hits the memo
+    assert after.misses - before.misses <= len(xs) and after.hits - before.hits >= len(xs)
+    assert counts == [0, 1, 25, 200] * 2  # both ramified primes lie above x_max = 1223

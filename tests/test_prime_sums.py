@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from satotate.angles import AngleSeries, FormMeta
-from satotate.errors import BadPrime, RangeExceeded
+from satotate.errors import RangeExceeded
 from satotate.prime_sums import (
     SmoothingWeight,
     cheb_prime_sum,
-    lambda_sym,
     paper_proof_weight,
     partial_summation_residual,
     partial_summation_residual_joint,
@@ -26,7 +25,6 @@ from satotate.prime_sums import (
 
 
 from oracles import synthetic_series
-from satotate.primes import primes_array
 
 
 def toy_series(primes, thetas, level=1, x_max=None):
@@ -126,45 +124,6 @@ def test_partial_summation_random_series(m, seed, n):
     x = int(s.primes[-1])
     res = partial_summation_residual(s, m, x)
     assert res <= 1e-9 * (1.0 + abs(cheb_prime_sum(s, m, x)[0]))
-
-
-# -- symmetric-power prime-power coefficients ------------------------------------------
-
-
-def satake_power_sum(m: int, ell: int, theta: float) -> complex:
-    """Oracle: direct sum of the (m+1) Satake parameter powers."""
-    return sum(cmath.exp(1j * (2 * j - m) * ell * theta) for j in range(m + 1))
-
-
-def test_lambda_sym_m0_is_von_mangoldt():
-    s = toy_series([2, 3, 5], [0.3, 1.1, 2.0], x_max=5)
-    for p in (2, 3, 5):
-        for ell in (1, 2, 3):
-            assert lambda_sym(s, 0, p, ell) == pytest.approx(math.log(p), rel=1e-12)
-
-
-def test_lambda_sym_hand_value():
-    s = toy_series([7], [math.pi / 2], x_max=7)
-    assert lambda_sym(s, 1, 7, 2) == pytest.approx(-2.0 * math.log(7.0), rel=1e-12)
-
-
-def test_lambda_sym_matches_satake_oracle():
-    rng = np.random.default_rng(17)
-    ps = primes_array(2, 10_000)
-    for _ in range(1000):
-        m = int(rng.integers(0, 11))
-        ell = int(rng.integers(1, 6))
-        theta = float(rng.uniform(0.0, math.pi))
-        p = int(ps[rng.integers(0, ps.size)])
-        s = toy_series([p], [theta], x_max=p)
-        got = lambda_sym(s, m, p, ell)
-        want = satake_power_sum(m, ell, theta).real * math.log(p)
-        assert abs(got - want) <= 1e-10 * (1.0 + abs(want)), (m, ell, theta, p)
-
-
-def test_lambda_sym_bad_prime():
-    with pytest.raises(BadPrime):
-        lambda_sym(TOY, 2, 11, 1)
 
 
 # -- the smoothing weight ---------------------------------------------------------------

@@ -1,10 +1,13 @@
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import satotate.primes as primes_module
-from satotate.primes import PrimeRange, prime_count, primes_array, primes_in
+from satotate.primes import PrimeRange, prime_count, prime_divisors, primes_array, primes_in
 
 
 def is_prime_trial_division(n: int) -> bool:
@@ -106,3 +109,54 @@ def test_invalid_ranges_rejected():
         PrimeRange(1, 10)
     with pytest.raises(ValueError):
         PrimeRange(10, 2)
+
+
+def prime_divisors_by_trial(n: int, bound: int) -> tuple[int, ...]:
+    """Oracle: every prime factor of n by trial division with d = 2, 3, 4, ..., then those <= bound."""
+    found, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            found.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        found.append(n)
+    return tuple(p for p in found if p <= bound)
+
+
+def _bounds_around_sqrt(n: int) -> list[int]:
+    r = math.isqrt(n)
+    return [0, 1, 2, r // 2, r - 1, r, r + 1, n - 1, n, 2 * n]
+
+
+def test_prime_divisors_matches_trial_division_on_random_levels():
+    rng = random.Random(11)
+    levels = [1, 2, 4, 11, 32, 37, 389, 5077, 2**19, 3**12, 999_983, 7907 * 7919]
+    levels += [rng.randrange(1, 10**6) for _ in range(300)]
+    for n in levels:
+        for bound in _bounds_around_sqrt(n):
+            assert prime_divisors(n, bound) == prime_divisors_by_trial(n, bound), (n, bound)
+    assert prime_divisors(7907 * 7919, 7918) == (7907,)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        2**64 - 1,  # 3 * 5 * 17 * 257 * 641 * 65537 * 6700417, the largest level a STAN header holds
+        2**44 * 999_983,  # between 2^63 and 2^64, with a prime cofactor below 2^20
+        2**63 + 1,  # 3^3 * 19 * 43 * 5419 * 77158673929
+    ],
+)
+def test_prime_divisors_of_levels_beyond_int64(n):
+    assert 2**63 <= n < 2**64
+    for bound in [10, 1000, 65537, 6_700_417, 10**6, 10**8] + _bounds_around_sqrt(n)[3:]:
+        assert prime_divisors(n, bound) == prime_divisors_by_trial(n, bound), (n, bound)
+
+
+def test_prime_divisors_of_a_large_prime_level():
+    # 2^61 - 1 is a Mersenne prime; below sqrt(n), compare with plain trial division
+    n = 2**61 - 1
+    for bound in (2, 1000, 10**5):
+        assert prime_divisors(n, bound) == tuple(p for p in range(2, bound + 1) if n % p == 0) == ()
+    assert prime_divisors(n, 10**7) == ()
