@@ -127,11 +127,17 @@ def angle_from_ap(ap, p, k: int):
     math.acos(min(1, max(-1, ap / (2.0 * float(p) ** ((k - 1) / 2))))) bit for bit.
     Raises DeligneViolation at the first |a_p| (in array order) that exceeds
     the bound by more than a relative 1e-12, or is NaN, which only happens
-    on corrupt input.
+    on corrupt input, and ValueError where the bound overflows a float.
     """
     ap = np.asarray(ap, dtype=np.float64)
     p = np.asarray(p)
-    bound = 2.0 * _libm_map(math.pow, p.astype(np.float64), (k - 1) / 2.0)
+    try:
+        with np.errstate(over="ignore"):
+            bound = 2.0 * _libm_map(math.pow, p.astype(np.float64), (k - 1) / 2.0)
+    except OverflowError:
+        bound = np.array(math.inf)
+    if not np.isfinite(bound).all():
+        raise ValueError(f"2 p^((k-1)/2) overflows a float at weight k = {k}, p = {p.max().item()}")
     over = ~(np.abs(ap) <= bound * (1.0 + DELIGNE_SLACK))
     if over.any():
         i = int(np.argmax(over))

@@ -1,10 +1,9 @@
 """Command-line front end: build caches, run verification campaigns, emit CSV/JSON.
 
 Exit codes: 0 success, 2 usage/domain error, 3 I/O error.
-SATOTATE_THREADS overrides verify's --threads, the cap on the threads that
-compute x rows at once.  Output files never contain timestamps, so a
-command's output is byte-identical across runs, thread counts and CPU
-counts.
+verify's --threads caps the threads that compute x rows at once.  Output
+files never contain timestamps, so a command's output is byte-identical
+across runs, thread counts and CPU counts.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -94,20 +92,6 @@ def parse_x_list(text: str) -> list[int]:
     return xs
 
 
-def resolve_threads(args) -> int:
-    env = os.environ.get("SATOTATE_THREADS")
-    if env:
-        try:
-            threads, name = int(env), "SATOTATE_THREADS"
-        except ValueError as exc:
-            raise UsageError(f"bad SATOTATE_THREADS {env!r}") from exc
-    else:
-        threads, name = getattr(args, "threads", 1), "--threads"
-    if threads < 1:
-        raise UsageError(f"{name} must be at least 1, got {threads}")
-    return threads
-
-
 def write_rows(rows: list[dict], fmt: str, out, command: str) -> None:
     """Serialise rows to CSV or JSON, columns in the first row's key order; identical floats either way."""
     columns = list(rows[0].keys())
@@ -165,7 +149,8 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     for option, value in (("--c-et1", args.c_et1), ("--c-st1", args.c_st1), ("--c-grh", args.c_grh)):
         check_constant(option, value)
-    threads = resolve_threads(args)
+    if args.threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {args.threads}")
     series = load_cache(args.cache)
     interval = parse_interval(args.interval)
     xs = parse_x_list(args.x)
@@ -183,7 +168,7 @@ def cmd_verify(args) -> int:
 
     # each row is a pure function of (series, interval, x), so the bytes do
     # not depend on the thread count; rows split over threads split no further
-    rows = split_map(one_row, xs, cap=threads)
+    rows = split_map(one_row, xs, cap=args.threads)
     write_rows(rows, args.format, args.out, "verify")
     return 0
 
@@ -355,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--ell", type=int, default=4)
+    p.add_argument("--ell", type=int, default=4, help="order of the weight's polynomial edges, 1 to 14")
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--preset", choices=("paper-proof",), default=None)
     p.set_defaults(func=cmd_smooth)

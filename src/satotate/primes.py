@@ -1,9 +1,11 @@
 """Segmented sieve of Eratosthenes: prime streams and exact prime counts.
 
 All downstream prime sums index over "p <= x", so this module is the single
-source of primes.  Segments are odd-only boolean bitmaps (one byte per odd
-number with numpy), sized to stay cache-resident; 1 MiB of bitmap covers
-2^21 integers.  The default desk-scale ceiling is 10^8; nothing enforces it.
+source of primes, and it has one sieve.  Segments are odd-only boolean
+bitmaps (one byte per odd number with numpy), sized to stay cache-resident;
+1 MiB of bitmap covers 2^21 integers.  The base primes that strike them come
+from the same sieve (Bays and Hudson, BIT 17, 1977).  The default desk-scale
+ceiling is 10^8; nothing enforces it.
 """
 
 from __future__ import annotations
@@ -32,49 +34,32 @@ class PrimeRange:
             raise ValueError("hi must be >= lo")
 
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    """All primes <= limit by a plain boolean sieve (used for base primes)."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
-    return np.flatnonzero(is_prime).astype(np.int64)
-
-
-def _odd_segments(rng: PrimeRange) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (low, mask) pairs where mask[i] flags low + 2i prime, low odd."""
-    base = _simple_sieve(math.isqrt(rng.hi))
-    span = 2 * SEGMENT_BYTES  # integers covered per segment
-    low = max(rng.lo, 3)
-    if low % 2 == 0:
-        low += 1
-    while low <= rng.hi:
-        high = min(low + span - 1, rng.hi)  # inclusive
-        n_odd = (high - low) // 2 + 1
-        mask = np.ones(n_odd, dtype=bool)
-        for p in base[1:]:  # skip 2; odd numbers need no even strikes
-            p = int(p)
-            if p * p > high:
-                break
-            start = max(p * p, ((low + p - 1) // p) * p)
-            if start % 2 == 0:
-                start += p
-            if start > high:
-                continue
-            mask[(start - low) // 2 :: p] = False
-        yield low, mask
-        low = high + 2 if (high - low) % 2 == 0 else high + 1
-
-
 def _prime_segments(rng: PrimeRange) -> Iterator[np.ndarray]:
-    """The primes in [rng.lo, rng.hi] as increasing int64 arrays: 2, then one per odd segment."""
+    """The primes in [rng.lo, rng.hi] as increasing int64 arrays: 2, then one per odd segment.
+
+    Each odd-only segment is struck by the odd primes up to the square root
+    of its top.  Those base primes come from this same stream, up to
+    isqrt(min(4 * top, rng.hi)), and are sieved again only when a segment's
+    top passes the square of that limit; so a stream read up to p does
+    O(sqrt p) base work whatever rng.hi is.
+    """
     if rng.lo <= 2 <= rng.hi:
         yield np.array([2], dtype=np.int64)
-    for low, mask in _odd_segments(rng):
-        yield low + 2 * np.flatnonzero(mask).astype(np.int64)
+    base, limit = np.empty(0, dtype=np.int64), 1  # the odd primes <= limit
+    low = max(rng.lo, 3) | 1
+    while low <= rng.hi:
+        high = min(low + 2 * SEGMENT_BYTES - 2, rng.hi)  # inclusive; SEGMENT_BYTES odd numbers
+        if math.isqrt(high) > limit:
+            limit = math.isqrt(min(4 * high, rng.hi))
+            base = primes_array(3, limit)
+        mask = np.ones((high - low) // 2 + 1, dtype=bool)  # mask[i] flags low + 2i
+        for p in base[: np.searchsorted(base, math.isqrt(high), side="right")].tolist():
+            start = max(p * p, -(-low // p) * p)
+            if start % 2 == 0:
+                start += p
+            mask[(start - low) // 2 :: p] = False
+        yield low + 2 * np.flatnonzero(mask).astype(np.int64, copy=False)
+        low += 2 * SEGMENT_BYTES
 
 
 def primes_in(rng: PrimeRange) -> Iterator[int]:
@@ -95,10 +80,7 @@ def prime_count(x: int) -> int:
     """pi(x) = #{p <= x}, by counting sieve segments (exact, not analytic)."""
     if x < 2:
         return 0
-    count = 1  # p = 2
-    for _, mask in _odd_segments(PrimeRange(2, x)):
-        count += int(np.count_nonzero(mask))
-    return count
+    return sum(seg.size for seg in _prime_segments(PrimeRange(2, x)))
 
 
 @lru_cache(maxsize=256)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import struct
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import satotate.cli
 from satotate.cli import main, parse_interval
 from satotate.primes import prime_count
 
@@ -199,33 +201,12 @@ def test_thread_byte_determinism(cache_11a1, tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
-def test_threads_env_override(cache_11a1, tmp_path, monkeypatch):
-    monkeypatch.setenv("SATOTATE_THREADS", "3")
-    out = tmp_path / "env.csv"
-    assert main(["verify", "--cache", str(cache_11a1), "--interval", "half", "--x", "100,200", "--out", str(out)]) == 0
-    ref = tmp_path / "ref.csv"
-    monkeypatch.delenv("SATOTATE_THREADS")
-    assert main(["verify", "--cache", str(cache_11a1), "--interval", "half", "--x", "100,200", "--out", str(ref)]) == 0
-    assert out.read_bytes() == ref.read_bytes()
-
-
-@pytest.mark.parametrize(
-    "env, argv, message",
-    [
-        (None, ["--threads", "-5"], "--threads must be at least 1, got -5"),
-        ("0", [], "SATOTATE_THREADS must be at least 1, got 0"),
-        ("-3", [], "SATOTATE_THREADS must be at least 1, got -3"),
-    ],
-)
-def test_threads_below_one_exit_2(cache_11a1, tmp_path, monkeypatch, capsys, env, argv, message):
-    if env is None:
-        monkeypatch.delenv("SATOTATE_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("SATOTATE_THREADS", env)
+@pytest.mark.parametrize("threads", ["-5", "0"])
+def test_threads_below_one_exit_2(cache_11a1, tmp_path, capsys, threads):
     out = tmp_path / "v.csv"
-    args = ["verify", "--cache", str(cache_11a1), "--interval", "half", "--x", "100", "--out", str(out), *argv]
-    assert main(args) == 2
-    assert message in capsys.readouterr().err
+    args = ["verify", "--cache", str(cache_11a1), "--interval", "half", "--x", "100", "--out", str(out)]
+    assert main([*args, "--threads", threads]) == 2
+    assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -275,6 +256,13 @@ def test_least_prime_from_curve(capsys):
     )
     assert rc == 0
     assert capsys.readouterr().out.startswith("2 ")
+
+
+def test_least_prime_from_curve_with_a_huge_ceiling_reads_only_what_it_needs(capsys):
+    # the scan stops at p = 5; the sieve's base primes follow the primes read, not --ceiling
+    args = ["--curve", "0,-1,1,-10,-20", "--conductor", "11", "--interval", "half"]
+    assert main(["least-prime", *args, "--ceiling", "10000000000000000"]) == 0
+    assert capsys.readouterr().out.split()[0] == "5"
 
 
 def test_least_prime_needs_exactly_one_source(cache_11a1, capsys):
@@ -349,6 +337,13 @@ def test_smooth_command(cache_11a1, capsys):
     assert abs(value - 4000) <= 3 * 0.1 * 4000
 
 
+def test_smooth_ell_above_14_exits_2(cache_11a1, capsys):
+    rc = main(["smooth", "--cache", str(cache_11a1), "--m", "0", "--x", "4000", "--ell", "170", "--eps", "0.1"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: ell must lie in [1, 14], got ell = 170\n"
+
+
 def test_smooth_preset_rejected_at_desk_scale(cache_11a1):
     rc = main(["smooth", "--cache", str(cache_11a1), "--m", "1", "--x", "4000", "--preset", "paper-proof"])
     assert rc == 2
@@ -400,6 +395,15 @@ def test_angles_nan_coefficient_exits_3(tmp_path, capsys):
     coeffs.write_text("# satotate-coeffs v1\nlabel=x\nweight=2\nlevel=1\nnormalized=true\n2 nan\n3 0.5\n")
     assert main(["angles", "--coeffs", str(coeffs), "--xmax", "3", "--out", str(tmp_path / "x.stan")]) == 3
     assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.stan").exists()
+
+
+def test_angles_weight_whose_deligne_bound_overflows_exits_2(tmp_path, capsys):
+    # 2 p^((k-1)/2) at k = 1000 overflows a float from p = 5 on
+    coeffs = tmp_path / "w1000.coeffs"
+    coeffs.write_text("# satotate-coeffs v1\nlabel=x\nweight=1000\nlevel=1\nnormalized=false\n2 1\n3 1\n5 1\n7 1\n")
+    assert main(["angles", "--coeffs", str(coeffs), "--xmax", "7", "--out", str(tmp_path / "x.stan")]) == 2
+    assert capsys.readouterr().err == "error: 2 p^((k-1)/2) overflows a float at weight k = 1000, p = 7\n"
     assert not (tmp_path / "x.stan").exists()
 
 
@@ -513,10 +517,14 @@ def test_simulate_rejects_x_max_below_2(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # the child imports the package this test imported, whether or not it is installed
+    src = str(Path(satotate.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "satotate.cli", "fit", "--xs", "1,2,3", "--errors", "1,1,1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "slope = 0.0" in proc.stdout

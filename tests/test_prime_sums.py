@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -279,6 +280,37 @@ def test_weight_property6_calibrated_bound_and_decay():
         env_y.append(block_y[i])
     slope = np.polyfit(np.log(env_t), np.log(env_y), 1)[0]
     assert abs(slope - (-w.ell)) <= 0.1, slope
+
+
+def _irwin_hall_cdf_exact(y: Fraction, ell: int) -> Fraction:
+    """P(U_1 + ... + U_ell <= y) in exact rationals, from the textbook alternating sum."""
+    if y <= 0:
+        return Fraction(0)
+    if y >= ell:
+        return Fraction(1)
+    terms = ((-1) ** k * math.comb(ell, k) * (y - k) ** ell for k in range(math.floor(y) + 1))
+    return sum(terms, Fraction(0)) / math.factorial(ell)
+
+
+@pytest.mark.parametrize("ell", range(1, 15))
+def test_weight_phi_matches_exact_rationals_on_both_edges(ell):
+    for x, eps in ((10**6, 0.2), (3.0, 0.01)):
+        w = SmoothingWeight(x, ell, eps)
+        two_a = 2.0 * w.A
+        a = 0.5 - w.ell * two_a  # the boxcar's left end, as weight_phi forms it in floats
+        lo, hi = w.support
+        ts = np.concatenate([np.linspace(lo, 0.5, 301), np.linspace(1.0, hi, 301)])
+        for t, got in zip(ts.tolist(), weight_phi(w, ts).tolist()):
+            t_q = Fraction(t)
+            exact = _irwin_hall_cdf_exact((t_q - Fraction(a)) / Fraction(two_a), ell)
+            exact -= _irwin_hall_cdf_exact((t_q - 1) / Fraction(two_a), ell)
+            assert abs(got - float(exact)) <= 1e-9, (ell, x, eps, t)
+
+
+@pytest.mark.parametrize("ell", [0, 15, 17, 170])
+def test_smoothing_weight_rejects_ell_outside_1_to_14(ell):
+    with pytest.raises(ValueError, match=rf"ell must lie in \[1, 14\], got ell = {ell}"):
+        SmoothingWeight(10**6, ell, 0.1)
 
 
 def test_paper_proof_preset_raises_at_desk_scale():

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,50 @@ def test_segment_size_does_not_change_output(monkeypatch):
     assert np.array_equal(full, tiny)
     assert list(primes_in(PrimeRange(2, 300_000))) == full.tolist()
     assert prime_count(300_000) == full.size
+
+
+def bitmap_primes(lo: int, hi: int) -> list[int]:
+    """Oracle: the primes in [lo, hi] from one plain Eratosthenes bitmap over [0, hi]."""
+    if hi < 2:
+        return []
+    is_prime = np.ones(hi + 1, dtype=bool)
+    is_prime[:2] = False
+    for n in range(2, math.isqrt(hi) + 1):
+        if is_prime[n]:
+            is_prime[n * n :: n] = False
+    return [n for n in np.flatnonzero(is_prime).tolist() if n >= lo]
+
+
+@pytest.mark.parametrize("segment_bytes", [7, 64, 1024])
+def test_every_view_matches_a_bitmap_at_any_segment_size(monkeypatch, segment_bytes):
+    monkeypatch.setattr(primes_module, "SEGMENT_BYTES", segment_bytes)
+    span = 2 * segment_bytes  # integers per segment; segments start at 3, 3 + span, ...
+    edges = [3 + j * span + d for j in (1, 2, 5) for d in (-2, -1, 0, 1)]
+    squares = [9, 25, 49, 121, 169]
+    ranges = [(2, 2), (3, 3), (4, 4), (2, 3), (8, 10), (14, 16), (24, 26), (2, 5000), (3, 4999), (4, 5000)]
+    ranges += [(q, q) for q in squares + edges] + [(2, q) for q in squares + edges]
+    ranges += [(q, r) for q in squares + edges for r in (q + 1, q + 2, q + span, 2 * q + 1)]
+    ranges += [(q - 1, q + 1) for q in squares + edges]
+    for lo, hi in ranges:
+        want = bitmap_primes(lo, hi)
+        got = primes_array(lo, hi)
+        assert got.dtype == np.int64 and got.tolist() == want, (lo, hi)
+        assert list(primes_in(PrimeRange(lo, hi))) == want, (lo, hi)
+        if lo == 2:
+            assert prime_count(hi) == len(want), hi
+
+
+def test_a_stream_read_to_p_does_not_pay_for_its_upper_bound():
+    # sieving base primes to sqrt(1e16) at once would take a 100 MB bitmap
+    tracemalloc.start()
+    try:
+        stream = primes_in(PrimeRange(2, 10**16))
+        first = [next(stream) for _ in range(5)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == [2, 3, 5, 7, 11]
+    assert peak < 10 * 2**20, peak
 
 
 def test_primes_array_edges():
