@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
 from satotate.angles import AngleSeries, angle_from_ap, curve_meta
-from satotate.curves import LOCKSTEP_BLOCK, CurveSpec, ec_ap, ec_ap_array, split_map
+from satotate.curves import LOCKSTEP_BLOCK, CurveSpec, _residues, ec_ap, ec_ap_array, split_map
 from satotate.errors import DegenerateFit, SatotateError, SearchExceeded
 from satotate.measure import Interval, cheb_u_rows, cheb_u_table, mu_st, st_cdf
 from satotate.primes import PrimeRange, prime_count, prime_divisors, primes_in
@@ -232,6 +233,34 @@ def grh_least_prime_ceiling(k: int, q: int, mu: float, c: float = DEFAULT_GRH_LE
     return math.ceil(bound)
 
 
+# primes pulled from the stream per window test, doubling up to the cap,
+# so a long scan's kept primes come in few large ec_ap_array blocks
+_WINDOW_CHUNK, _WINDOW_CHUNK_CAP = 4096, 1 << 16
+
+
+def _window_primes(curve: CurveSpec, interval: Interval, k: int, ceiling: int) -> Iterator[list[int]]:
+    """The primes <= ceiling whose a_p can put theta_p in I, one list per chunk of primes_in.
+
+    theta_p is a function of the integer a_p, and lies in [alpha, beta] only
+    if a_p lies in B [cos beta, cos alpha], B = 2 p^((k-1)/2).  A prime is
+    kept when that window, widened by 1e-9 B on each side (orders of
+    magnitude above the float error of acos and cos), holds an integer, or
+    when it divides the model's discriminant, so that a singular model still
+    fails loudly at its first such prime.  Where 1e-9 B >= 1 every prime is kept.
+    """
+    stream = primes_in(PrimeRange(2, ceiling))
+    disc = curve.discriminant()
+    lo, hi = math.cos(interval.beta), math.cos(interval.alpha)
+    size = _WINDOW_CHUNK
+    while (chunk := np.fromiter(islice(stream, size), dtype=np.int64)).size:
+        size = min(2 * size, _WINDOW_CHUNK_CAP)
+        bound = 2.0 * chunk.astype(np.float64) ** ((k - 1) / 2)
+        slack = 1e-9 * bound
+        keep = np.floor(bound * hi + slack) >= np.ceil(bound * lo - slack)
+        keep |= _residues(disc, chunk) == 0
+        yield chunk[keep].tolist()
+
+
 def least_prime_in_interval(
     source: "CurveSpec | AngleSeries",
     interval: Interval,
@@ -240,10 +269,17 @@ def least_prime_in_interval(
 ) -> LeastPrimeResult:
     """Smallest good prime with theta_p in I, plus the GRH bound-shape value.
 
-    A CurveSpec source streams primes and computes a_p on demand, in blocks
-    that double from 64 primes up to LOCKSTEP_BLOCK, so no prebuilt series
-    bounds the search; an AngleSeries source scans its cached points (and
-    cannot see past its x_max).
+    A CurveSpec source streams primes and computes a_p on demand, so no
+    prebuilt series bounds the search; an AngleSeries source scans its
+    cached points (and cannot see past its x_max).  The stream counts points
+    only at primes whose Hasse window can reach I (see _window_primes): about
+    sum_p min(1, 2 sqrt(p) sin(theta) |I|) of them, theta in I, so a short
+    interval counts at a handful of primes up to a hit that thousands of
+    good primes precede; primes dividing the discriminant are always
+    counted.  The kept good primes of each chunk go to ec_ap_array in blocks
+    that double from 64 primes up to LOCKSTEP_BLOCK, and Interval.contains
+    on angle_from_ap decides every hit, so the answer is the one a scan of
+    every good prime gives.
     """
     mu = mu_st(interval)
     if mu <= 0.0:
@@ -261,18 +297,19 @@ def least_prime_in_interval(
 
     curve = source
     bad = prime_divisors(meta.level_q, ceiling)
-    good = (p for p in primes_in(PrimeRange(2, ceiling)) if p not in bad)
     size = 64
-    while block := list(islice(good, size)):
-        try:
-            thetas = angle_from_ap(ec_ap_array(curve, block), block, meta.weight_k).tolist()
-        except SatotateError:
-            # recount one prime at a time, so an error past the hit stays unseen
-            thetas = (angle_from_ap(float(ec_ap(curve, p)), p, meta.weight_k) for p in block)
-        for p, theta in zip(block, thetas):
-            if interval.contains(theta):
-                return LeastPrimeResult(p, bound)
-        size = min(2 * size, LOCKSTEP_BLOCK)
+    for kept in _window_primes(curve, interval, meta.weight_k, ceiling):
+        good = (p for p in kept if p not in bad)
+        while block := list(islice(good, size)):
+            try:
+                thetas = angle_from_ap(ec_ap_array(curve, block), block, meta.weight_k).tolist()
+            except SatotateError:
+                # recount one prime at a time, so an error past the hit stays unseen
+                thetas = (angle_from_ap(float(ec_ap(curve, p)), p, meta.weight_k) for p in block)
+            for p, theta in zip(block, thetas):
+                if interval.contains(theta):
+                    return LeastPrimeResult(p, bound)
+            size = min(2 * size, LOCKSTEP_BLOCK)
     raise SearchExceeded(f"no good prime <= {ceiling} with theta_p in I")
 
 

@@ -62,10 +62,18 @@ def _prime_segments(rng: PrimeRange) -> Iterator[np.ndarray]:
         low += 2 * SEGMENT_BYTES
 
 
+SLICE_PRIMES = 4096  # primes_in turns at most this many primes at a time into Python ints
+
+
 def primes_in(rng: PrimeRange) -> Iterator[int]:
-    """Stream the primes in [rng.lo, rng.hi] in increasing order."""
+    """Stream the primes in [rng.lo, rng.hi] in increasing order.
+
+    Each segment is handed out SLICE_PRIMES at a time, so a reader that
+    stops early never pays for a whole segment of Python ints.
+    """
     for seg in _prime_segments(rng):
-        yield from seg.tolist()
+        for start in range(0, seg.size, SLICE_PRIMES):
+            yield from seg[start : start + SLICE_PRIMES].tolist()
 
 
 def primes_array(lo: int, hi: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import satotate.curves as curves_module
 import satotate.discrepancy as discrepancy_module
 from satotate.angles import angle_from_ap, build_angle_series, save_cache
+from satotate.cli import main
 from satotate.curves import (
     CURVE_11A1,
     CURVE_32A,
@@ -362,6 +363,43 @@ def test_least_prime_hides_errors_past_the_hit(monkeypatch):
     assert least_prime_in_interval(CURVE_11A1, interval).p == hit
 
 
+def counting_rows(monkeypatch) -> list[int]:
+    """Count the primes a least-prime scan counts points at, by block or one at a time."""
+    counted = []
+    real_array, real_scalar = discrepancy_module.ec_ap_array, discrepancy_module.ec_ap
+
+    def array(curve, primes):
+        counted.extend(int(p) for p in primes)
+        return real_array(curve, primes)
+
+    def scalar(curve, p):
+        counted.append(int(p))
+        return real_scalar(curve, p)
+
+    monkeypatch.setattr(discrepancy_module, "ec_ap_array", array)
+    monkeypatch.setattr(discrepancy_module, "ec_ap", scalar)
+    return counted
+
+
+def test_least_prime_counts_points_only_where_the_window_reaches_the_interval(monkeypatch):
+    # an interval built as the benchmark's search builds one: about 0.005 expected hits before p_star
+    curve = CURVE_5077A1
+    ps = good_primes(curve, 2, 220_000)
+    k = int(np.searchsorted(ps, 110_000))
+    p_star = int(ps[k])
+    theta = angle_from_ap(float(ec_ap(curve, p_star)), p_star, 2)
+    density = max((2.0 / math.pi) * math.sin(theta) ** 2, 1e-3)
+    half = min(1e-3, 0.005 / (2.0 * k * density))
+    interval = Interval(max(0.0, theta - half), min(math.pi, theta + half))
+    counted = counting_rows(monkeypatch)
+    assert least_prime_in_interval(curve, interval, ceiling=p_star).p == p_star
+    assert p_star in counted and len(counted) <= 50, len(counted)  # every good prime up to p_star: 10.4k
+    counted.clear()
+    with pytest.raises(SearchExceeded):
+        least_prime_in_interval(CURVE_11A1, Interval(0.0, 1e-6), ceiling=20_000)
+    assert counted == []
+
+
 # -- one route table, one good-reduction check, one short model ------------------
 
 
@@ -383,6 +421,26 @@ def test_rescaled_model_fails_loudly_on_every_route():
     # away from u the rescaled model gives 37a1's a_p
     ps = [2, 5, 7, 229, 233, 1009]
     assert ec_ap_array(rescaled_37a1(3), ps).tolist() == ec_ap_array(CURVE_37A1, ps).tolist()
+
+
+@pytest.mark.parametrize("hit", [101, 241])
+def test_least_prime_meets_a_singular_prime_outside_the_interval_in_prime_order(hit, capsys):
+    # theta_p is the same on the rescaled model away from 233; no a_233 can put theta_233 in I
+    theta = angle_from_ap(float(ec_ap(CURVE_37A1, hit)), hit, 2)
+    interval = Interval(theta - 1e-6, theta + 1e-6)
+    bound = 2 * math.sqrt(233)
+    assert math.floor(bound * math.cos(interval.alpha)) < math.ceil(bound * math.cos(interval.beta))
+    curve = rescaled_37a1(233)
+    argv = ["least-prime", "--curve", ",".join(map(str, curve.ainvs())), "--conductor", "37"]
+    argv += ["--interval", f"{interval.alpha!r}:{interval.beta!r}", "--ceiling", "3000"]
+    if hit < 233:
+        assert least_prime_in_interval(curve, interval, ceiling=3000).p == hit
+        assert main(argv) == 0 and capsys.readouterr().out.split()[0] == str(hit)
+    else:
+        with pytest.raises(BadReduction, match="singular at 233 "):
+            least_prime_in_interval(curve, interval, ceiling=3000)
+        assert main(argv) == 2
+        assert "singular at 233 " in capsys.readouterr().err
 
 
 def test_conductor_must_divide_into_the_discriminant():
@@ -529,6 +587,6 @@ def test_small_inputs_start_no_process(monkeypatch, tmp_path):
     use_cpus(monkeypatch, 8)
     ps = good_primes(CURVE_11A1, 230, 20_000)
     ec_ap_array(CURVE_11A1, ps[: 2 * curves_module.LOCKSTEP_BLOCK - 1])  # one full block
-    with pytest.raises(SearchExceeded):  # a scan with no hit: blocks of 64, 128, ..., 1024 primes
+    with pytest.raises(SearchExceeded):  # a scan with no hit, which counts points at no prime
         least_prime_in_interval(CURVE_11A1, Interval(0.0, 1e-6), ceiling=20_000)
     assert pids() == {os.getpid()}

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -6,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satotate.angles import AngleSeries, FormMeta
-from satotate.curves import CURVE_11A1
+from satotate.curves import CURVE_11A1, CURVE_32A, CURVE_37A1
 from satotate.discrepancy import (
+    _window_primes,
     cheb_sum_bound,
     cheb_sum_bound_2d,
     count_in_interval,
@@ -324,6 +327,57 @@ def test_least_prime_exceeds(series_11a1_small):
     tiny = Interval(0.0, 1e-3)
     with pytest.raises(SearchExceeded):
         least_prime_in_interval(series_11a1_small, tiny)
+
+
+def oracle_intervals(series, rng, n):
+    """(interval, ceiling) pairs: widths 1e-12 to pi, ends on cached angles (each side of the tie), at 0 and pi."""
+    out = []
+    while len(out) < n:
+        ceiling = int(math.exp(rng.uniform(math.log(50), math.log(series.x_max))))
+        width = math.exp(rng.uniform(math.log(1e-12), math.log(math.pi)))
+        kind = rng.randrange(4)
+        if kind == 0:
+            lo = rng.uniform(0.0, math.pi - width)
+            hi = lo + width
+        elif kind == 1:  # an end exactly on theta_p (p inside) or one ulp past it (p outside)
+            _, thetas = series.upto(ceiling)
+            t = float(thetas[rng.randrange(thetas.size)])
+            lo, hi = [(t, t + width), (t - width, t), (np.nextafter(t, 4.0), t + width),
+                      (t - width, np.nextafter(t, -1.0))][rng.randrange(4)]
+        elif kind == 2:
+            lo, hi = 0.0, width
+        else:
+            lo, hi = math.pi - width, math.pi
+        lo, hi = max(0.0, float(lo)), min(math.pi, float(hi))
+        if lo <= hi and mu_st(Interval(lo, hi)) > 0:
+            out.append((Interval(lo, hi), ceiling))
+    return out
+
+
+def least_prime_or_none(source, interval, ceiling):
+    try:
+        return least_prime_in_interval(source, interval, ceiling)
+    except SearchExceeded:
+        return None
+
+
+@pytest.mark.parametrize(
+    "fixture, curve",
+    [("series_11a1_big", CURVE_11A1), ("series_37a1_big", CURVE_37A1), ("series_32a_medium", CURVE_32A)],
+    ids=["11a1", "37a1", "32a"],
+)
+def test_least_prime_from_the_curve_equals_the_cached_series(fixture, curve, request):
+    series = request.getfixturevalue(fixture)
+    cases = oracle_intervals(series, random.Random(curve.conductor), 110)
+    if curve is CURVE_32A:  # a_p = 0 at every supersingular p: theta_p = pi/2 exactly
+        cases.append((Interval(math.pi / 2, math.pi / 2 + 1e-12), series.x_max))
+    for interval, ceiling in cases:
+        want = least_prime_or_none(series, interval, ceiling)
+        assert least_prime_or_none(curve, interval, ceiling) == want, (interval, ceiling)
+        # no prime with theta_p in I is ever skipped, hit or not
+        ps, thetas = series.upto(ceiling)
+        kept = set(itertools.chain.from_iterable(_window_primes(curve, interval, 2, ceiling)))
+        assert kept.issuperset(ps[interval.contains(thetas)].tolist()), (interval, ceiling)
 
 
 def test_grh_ceiling_formula():

@@ -141,6 +141,19 @@ def test_a_stream_read_to_p_does_not_pay_for_its_upper_bound():
     assert peak < 10 * 2**20, peak
 
 
+def test_a_stream_read_to_p_does_not_turn_its_segment_into_python_ints():
+    # the first segment holds about 155k primes: 6 MB as Python ints, 1.2 MB as int64
+    tracemalloc.start()
+    try:
+        stream = primes_in(PrimeRange(2, 10**16))
+        first = [next(stream) for _ in range(5)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == [2, 3, 5, 7, 11]
+    assert peak < 4 * 2**20, peak
+
+
 def test_primes_array_edges():
     for lo, hi in ((0, 1), (4, 4), (14, 16), (10, 2)):
         got = primes_array(lo, hi)
