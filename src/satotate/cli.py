@@ -1,9 +1,8 @@
 """Command-line front end: build caches, run verification campaigns, emit CSV/JSON.
 
-Exit codes: 0 success, 2 usage/domain error, 3 I/O error.
-verify's --threads caps the threads that compute x rows at once.  Output
-files never contain timestamps, so a command's output is byte-identical
-across runs, thread counts and CPU counts.
+Exit codes: 0 success, 2 usage/domain error, 3 I/O error.  Output files
+never contain timestamps, so a command's output is byte-identical across
+runs and CPU counts.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import numpy as np
 
 from satotate import prime_sums
 from satotate.angles import AngleSeries, FormMeta, build_angle_series, load_cache, save_cache
-from satotate.curves import CurveSpec, split_map
+from satotate.curves import CurveSpec
 from satotate.discrepancy import (
     DEFAULT_ET_CONSTANT,
     DEFAULT_GRH_LEAST_PRIME_C,
@@ -149,13 +148,10 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     for option, value in (("--c-et1", args.c_et1), ("--c-st1", args.c_st1), ("--c-grh", args.c_grh)):
         check_constant(option, value)
-    if args.threads < 1:
-        raise UsageError(f"--threads must be at least 1, got {args.threads}")
     series = load_cache(args.cache)
     interval = parse_interval(args.interval)
-    xs = parse_x_list(args.x)
-
-    def one_row(x: int) -> dict:
+    rows = []
+    for x in parse_x_list(args.x):
         rep = discrepancy_report(series, interval, x, M=args.M, c_et1=args.c_et1)
         row = rep.to_dict()
         row["st1_curve"] = theoretical_bound_curve(
@@ -164,11 +160,7 @@ def cmd_verify(args) -> int:
         row["grh_curve"] = theoretical_bound_curve(
             x, series.meta.weight_k, series.meta.level_q, "grh-thm13", args.c_grh
         )
-        return row
-
-    # each row is a pure function of (series, interval, x), so the bytes do
-    # not depend on the thread count; rows split over threads split no further
-    rows = split_map(one_row, xs, cap=args.threads)
+        rows.append(row)
     write_rows(rows, args.format, args.out, "verify")
     return 0
 
@@ -301,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-grh", dest="c_grh", type=float, default=1.0)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default="-")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("joint", help="joint counts and independence diagnostics")

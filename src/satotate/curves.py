@@ -18,7 +18,6 @@ import math
 import multiprocessing
 import os
 import random
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -304,7 +303,7 @@ def ec_ap_bsgs(curve: CurveSpec, p: int) -> int:
     """a_p by baby-step giant-step group-order search; requires p > 229.
 
     Randomness is seeded from (curve, p), so results and retry behaviour are
-    reproducible regardless of thread scheduling.
+    reproducible in whichever process runs it.
     """
     if p <= NAIVE_BSGS_CROSSOVER:
         raise ValueError(f"BSGS needs p > {NAIVE_BSGS_CROSSOVER}; use the naive count")
@@ -587,112 +586,80 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-# set on the main thread while it computes its share of a split_map with workers
-_in_share = threading.local()
+# True while this process computes a share of a split: a split inside it runs serially
+_in_share = False
 
 
 def split_map(fn, items, cap: int | None = None) -> list:
-    """[fn(item) for item in items], with the items shared among threads.
+    """[fn(item) for item in items], with the items shared among forked processes.
 
-    W = min(CPUs in the affinity set, len(items), cap) when called from the
-    main thread outside its share of another split, and W = 1 otherwise, so
-    a split never nests.  With W >= 2 the items are dealt round-robin to W
-    shares: the calling thread computes share 0 and W - 1 threads compute
-    the others.  fn must be a pure function of its item, and gains only
-    where it spends its time in code that releases the GIL (numpy loops).
-    The results come back in item order.  Every worker is joined before the
-    call returns, and then the exception of the first item that raised, in
-    item order, is raised, as a serial loop would raise it.
+    W = min(CPUs in the affinity set, len(items), cap) outside a share of
+    another split, and W = 1 inside one, so a split never nests.  With
+    W >= 2 the items are dealt round-robin to W shares: this process
+    computes share 0 while W - 1 forked children compute the others and send
+    them back through a pipe.  A fork passes fn and its data without
+    pickling them, so fn may be a closure; the child rule is that fn is a
+    pure function of its item, returns picklable values and never calls
+    BLAS (whose threads a fork does not copy).  The results come back in
+    item order.  Each share stops at its first Exception, and the failure
+    of the lowest item index is raised, as a serial loop would raise it.  A
+    child that dies raises ChildProcessError, and no child outlives the call.
     """
+    global _in_share
     items = list(items)
     workers = min(_cpu_count(), len(items), len(items) if cap is None else cap)
-    nested = threading.current_thread() is not threading.main_thread() or getattr(_in_share, "on", False)
-    if workers < 2 or nested:
+    if workers < 2 or _in_share:
         return [fn(item) for item in items]
-    results: list = [None] * len(items)
-    failures: list = [None] * workers  # per share: (item index, exception) of its first failure
-
-    def run_share(share: int) -> None:
-        for i in range(share, len(items), workers):
-            try:
-                results[i] = fn(items[i])
-            except BaseException as exc:  # re-raised in the calling thread
-                failures[share] = (i, exc)
-                return
-
-    threads = [threading.Thread(target=run_share, args=(w,)) for w in range(1, workers)]
-    _in_share.on = True
-    try:
-        for thread in threads:
-            thread.start()
-        run_share(0)
-    finally:
-        _in_share.on = False
-        for thread in threads:
-            if thread.ident is not None:
-                thread.join()
-    raised = [f for f in failures if f is not None]
-    if raised:
-        # an interrupt or exit outranks the errors of fn; among those, item order decides
-        raise min(raised, key=lambda f: (isinstance(f[1], Exception), f[0]))[1]
-    return results
-
-
-def _map_blocks(fn, n: int) -> list:
-    """[fn(start, stop) for each block of LOCKSTEP_BLOCK rows of range(n)], on every CPU the process may use.
-
-    With W = min(CPUs in the affinity set, full blocks) >= 2, the blocks are
-    dealt round-robin to W shares.  W - 1 forked children compute theirs and
-    send them back through a pipe while this process computes the first.
-    fn must be a pure function of its block, so the results do not depend on
-    W.  A fork passes fn and its data without pickling them; the children run
-    numpy's element-wise, sorting and searching code only, never BLAS, whose
-    threads a fork does not copy.  A child's exception is raised here, and no
-    child outlives the call.
-    """
-    blocks = [(start, min(start + LOCKSTEP_BLOCK, n)) for start in range(0, n, LOCKSTEP_BLOCK)]
-    workers = min(_cpu_count(), n // LOCKSTEP_BLOCK)
-    if workers < 2:
-        return [fn(*block) for block in blocks]
     ctx = multiprocessing.get_context("fork")
-    results: list = [None] * len(blocks)
     children = []
+    _in_share = True  # set before the forks, so the children hold it too
     try:
         for w in range(1, workers):
             reader, writer = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_run_share, args=(fn, blocks[w::workers], writer), daemon=True)
+            child = ctx.Process(target=_send_share, args=(fn, items[w::workers], writer), daemon=True)
             child.start()
             writer.close()
             children.append((child, reader))
-        results[::workers] = [fn(*block) for block in blocks[::workers]]
-        for w, (child, reader) in enumerate(children, 1):
+        shares = [_share(fn, items[::workers])]
+        for child, reader in children:
             try:
-                ok, payload = reader.recv()
+                shares.append(reader.recv())
             except EOFError:
                 child.join()
-                raise ChildProcessError(f"a lockstep worker exited with code {child.exitcode}") from None
-            if not ok:
-                raise payload
-            results[w::workers] = payload
+                raise ChildProcessError(f"a split_map worker exited with code {child.exitcode}") from None
     except BaseException:
         for child, _ in children:
             child.terminate()
         raise
     finally:
+        _in_share = False
         for child, reader in children:
             child.join()
             reader.close()
+    # a share that failed holds the results before its failure, so the failed item is w + W * len(done)
+    failures = [(w + workers * len(done), exc) for w, (done, exc) in enumerate(shares) if exc is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    results: list = [None] * len(items)
+    for w, (done, _) in enumerate(shares):
+        results[w::workers] = done
     return results
 
 
-def _run_share(fn, blocks, writer) -> None:
-    """Body of a _map_blocks child: send (True, results) or (False, the exception)."""
+def _share(fn, items) -> tuple[list, Exception | None]:
+    """(results, None) of one share of a split, or (the results before its first failure, the exception)."""
+    done: list = []
     try:
-        payload = (True, [fn(*block) for block in blocks])
+        for item in items:
+            done.append(fn(item))
     except Exception as exc:
-        payload = (False, exc)
-    writer.send(payload)
-    writer.close()
+        return done, exc
+    return done, None
+
+
+def _send_share(fn, items, writer) -> None:
+    """Body of a split_map child: compute its share and send it to the parent."""
+    writer.send(_share(fn, items))
 
 
 def ec_ap_array(curve: CurveSpec, primes) -> np.ndarray:
@@ -704,7 +671,7 @@ def ec_ap_array(curve: CurveSpec, primes) -> np.ndarray:
     the rows the first left without exactly one candidate order (together,
     across blocks).  Each pass settles a row on its own candidates.  Every
     other prime, and every row still open, goes to the scalar ec_ap in this
-    process.  Each pass maps its blocks with _map_blocks, a block's outcome
+    process.  Each pass maps its blocks with split_map, a block's outcome
     depends on its rows alone, and a_p is exact whatever the path, so the
     result depends neither on how the primes are split into calls nor on
     the number of CPUs.
@@ -720,15 +687,17 @@ def ec_ap_array(curve: CurveSpec, primes) -> np.ndarray:
     salt = hash(curve.ainvs()) & 0xFFFFFFFF
     chi_wanted = None
 
-    def block(start, stop):  # rows[start:stop] of the current pass
+    def block(start):  # rows[start:start + LOCKSTEP_BLOCK] of the current pass
+        stop = start + LOCKSTEP_BLOCK
         p = ps[rows[start:stop]]
         wanted = None if chi_wanted is None else chi_wanted[start:stop]
         return _lockstep_pass(p, *_short_models(curve, p), salt, wanted)
 
     for _ in range(2):  # the rows pass 1 leaves open go to pass 2 with a point on the other twist
         is_open, chi = np.zeros(rows.size, dtype=bool), np.zeros(rows.size, dtype=np.int64)
-        blocks = _map_blocks(block, rows.size)
-        for start, (keys, failed, block_chi) in zip(range(0, rows.size, LOCKSTEP_BLOCK), blocks):
+        starts = range(0, rows.size, LOCKSTEP_BLOCK)
+        blocks = split_map(block, starts, cap=rows.size // LOCKSTEP_BLOCK)  # forks for two full blocks or more
+        for start, (keys, failed, block_chi) in zip(starts, blocks):
             stop = start + failed.size
             is_open[start + _settle(out, ps, rows[start:stop], keys, failed)] = True
             chi[start:stop] = block_chi

@@ -399,9 +399,9 @@ def discrepancy_report(
     expected = mu_st(interval) * pi_x
     _, thetas = series.upto(x)
     u = st_cdf(thetas)  # shared by the exact and the Erdos-Turan columns
-    # two shares, dealt round-robin: the Erdos-Turan column runs on a worker
-    # thread, the other two on this one (cheb_sum_bound stays here, where a
-    # caller's tracing of it sees it); errors come in column order
+    # two shares, dealt round-robin: the Erdos-Turan column runs in a forked
+    # worker, the other two in this process (cheb_sum_bound stays here, where
+    # a caller's tracing of it sees it); errors come in column order
     exact, et, cheb = split_map(
         lambda column: column(),
         (

@@ -86,8 +86,8 @@ def cheb_sum_rows(series: AngleSeries, ms, x: int) -> list[tuple[int, float, flo
     The sums of each row equal cheb_prime_sum(series, m, x) bit for bit;
     U_m is evaluated once per m, and log p, the sine-ratio split and the
     extended-precision factor 1/log p - 1/log x once per x.  The rows are
-    shared among threads by split_map, so they do not depend on the CPU
-    count.  x < 3 raises ValueError unless ms is empty.
+    shared among forked processes by split_map, so they do not depend on
+    the CPU count.  x < 3 raises ValueError unless ms is empty.
     """
     ps, thetas = series.upto(x)
     if ps.size == 0:

@@ -15,6 +15,7 @@ from scipy.integrate import quad
 from oracles import brute_force_interval_discrepancy, st_quantile_vec, synthetic_series
 
 from conftest import BUILD_TIMES
+import satotate.curves as curves_module
 from satotate.angles import build_angle_series, load_cache, save_cache
 from satotate.cli import main as cli_main
 from satotate.curves import (
@@ -272,12 +273,13 @@ def test_criterion_12_smoothed_pnt(series_11a1_big):
     )
 
 
-def test_criterion_13_thread_determinism(series_11a1_big, tmp_path):
+def test_criterion_13_thread_determinism(series_11a1_big, tmp_path, monkeypatch):
     cache = tmp_path / "11a1.stan"
     save_cache(series_11a1_big, cache)
     outputs = []
-    for threads in ("1", "4", "8"):
-        out = tmp_path / f"v{threads}.csv"
+    for cpus in (1, 4, 8):  # verify splits its columns over min(CPUs, 2) processes
+        monkeypatch.setattr(curves_module.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        out = tmp_path / f"v{cpus}.csv"
         rc = cli_main(
             [
                 "verify",
@@ -287,13 +289,11 @@ def test_criterion_13_thread_determinism(series_11a1_big, tmp_path):
                 "middle",
                 "--x",
                 "10000,100000,1000000",
-                "--threads",
-                threads,
                 "--out",
                 str(out),
             ]
         )
         assert rc == 0
         outputs.append(out.read_bytes())
-    report(13, "cmd_verify CSV byte-identical across 1, 4, 8 threads",
+    report(13, "cmd_verify CSV byte-identical across 1, 4, 8 CPUs",
            outputs[0] == outputs[1] == outputs[2], f"bytes={len(outputs[0])}")

@@ -177,39 +177,6 @@ def test_verify_corrupt_cache(tmp_path, cache_11a1):
     assert main(["verify", "--cache", str(bad), "--interval", "half", "--x", "10"]) == 3
 
 
-def test_thread_byte_determinism(cache_11a1, tmp_path):
-    outs = []
-    for threads in ("1", "4", "8"):
-        out = tmp_path / f"t{threads}.csv"
-        rc = main(
-            [
-                "verify",
-                "--cache",
-                str(cache_11a1),
-                "--interval",
-                "middle",
-                "--x",
-                "100,500,1000,5000",
-                "--threads",
-                threads,
-                "--out",
-                str(out),
-            ]
-        )
-        assert rc == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1] == outs[2]
-
-
-@pytest.mark.parametrize("threads", ["-5", "0"])
-def test_threads_below_one_exit_2(cache_11a1, tmp_path, capsys, threads):
-    out = tmp_path / "v.csv"
-    args = ["verify", "--cache", str(cache_11a1), "--interval", "half", "--x", "100", "--out", str(out)]
-    assert main([*args, "--threads", threads]) == 2
-    assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_joint_command(cache_11a1, cache_37a1, tmp_path):
     out = tmp_path / "j.csv"
     rc = main(

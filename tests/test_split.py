@@ -1,18 +1,35 @@
-"""The thread split of the analysis rows: split_map, and the verify / cheb-sums bytes under it."""
+"""The process split of the analysis rows and the lockstep blocks: split_map, and the verify / cheb-sums bytes under it."""
 
-import sys
-import threading
+import inspect
+import os
+import pickle
+import time
+from multiprocessing import active_children
 
 import pytest
 
 import satotate.curves as curves_module
 import satotate.discrepancy as discrepancy_module
+import satotate.errors as errors_module
 from satotate.cli import main
 from satotate.curves import split_map
 
 
 def use_cpus(monkeypatch, n: int) -> None:
     monkeypatch.setattr(curves_module.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def recorder(path):
+    """(record, read): record(tag) appends 'tag pid' to path from any process; read() gives the (tag, pid) pairs."""
+
+    def record(tag) -> None:
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{tag} {os.getpid()}\n")
+
+    def read() -> list[tuple[str, int]]:
+        return [(tag, int(pid)) for tag, pid in (line.split() for line in path.read_text().splitlines())]
+
+    return record, read
 
 
 @pytest.fixture(scope="module")
@@ -32,69 +49,111 @@ def cheb_sums_args(cache, out, *extra):
             "--out", str(out), *extra]
 
 
-def test_split_map_returns_item_order_on_every_thread(monkeypatch):
+def test_split_map_returns_item_order_with_share_0_in_the_caller(monkeypatch):
     use_cpus(monkeypatch, 3)
-    seen = []
-
-    def fn(i):
-        seen.append((i, threading.current_thread()))
-        return i * i
-
-    assert split_map(fn, range(7)) == [i * i for i in range(7)]
-    by_item = dict(seen)
-    assert len(set(by_item.values())) == 3
-    assert by_item[0] is by_item[3] is by_item[6] is threading.main_thread()  # share 0 is the caller's
-
-
-def test_split_map_loses_no_result_under_fast_thread_switching(monkeypatch):
-    use_cpus(monkeypatch, 8)  # more threads than this host has cores
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(20):
-            assert split_map(lambda i: (i, i * i), range(500)) == [(i, i * i) for i in range(500)]
-    finally:
-        sys.setswitchinterval(interval)
+    results = split_map(lambda i: (i * i, os.getpid()), range(7))
+    assert [square for square, _ in results] == [i * i for i in range(7)]
+    pids = [pid for _, pid in results]
+    assert pids[0] == pids[3] == pids[6] == os.getpid()  # share 0 is the caller's
+    assert pids[1] == pids[4] and pids[2] == pids[5]
+    assert len(set(pids)) == 3
+    assert active_children() == []
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 8])
-def test_split_map_raises_the_first_failure_in_item_order(monkeypatch, cpus):
+def test_split_map_raises_the_first_failure_in_item_order(monkeypatch, tmp_path, cpus):
     use_cpus(monkeypatch, cpus)
-    ran = []
+    record, read = recorder(tmp_path / "ran")
 
     def fn(i):
-        ran.append(i)
+        record(i)
         if i in (1, 2, 5):
             raise ValueError(f"item {i}")
         return i
 
-    before = threading.active_count()
-    with pytest.raises(ValueError, match="^item 1$"):
+    with pytest.raises(ValueError, match="^item 1$"):  # item 1 lies in a child's share from 2 CPUs on
         split_map(fn, range(6))
-    assert threading.active_count() == before
-    assert 1 in ran
+    assert active_children() == []
+    ran = read()
+    if cpus > 1:
+        assert ("1", os.getpid()) not in ran
+        assert ("3", os.getpid()) not in ran
+    if cpus == 2:  # each share stops at its first failure: 0, 2 here and 1 in the child
+        assert sorted(tag for tag, _ in ran) == ["0", "1", "2"]
 
 
-def test_split_map_never_nests_and_runs_serial_off_the_main_thread(monkeypatch):
-    use_cpus(monkeypatch, 8)
-    ran_on = []
+def test_split_map_raises_a_failure_of_share_0_before_a_later_child_failure(monkeypatch):
+    use_cpus(monkeypatch, 2)
 
-    def inner(i):
-        ran_on.append(threading.current_thread())
+    def fn(i):
+        if i in (0, 3):
+            raise ValueError(f"item {i}")
         return i
 
-    def outer(i):
-        return split_map(inner, range(4))
+    with pytest.raises(ValueError, match="^item 0$"):
+        split_map(fn, range(4))
+    assert active_children() == []
 
-    assert split_map(outer, range(2)) == [[0, 1, 2, 3]] * 2
-    assert len(set(ran_on)) == 2  # one per outer share: no inner split
-    assert split_map(inner, range(3), cap=1) == [0, 1, 2]
-    ran_on.clear()
-    worker = threading.Thread(target=lambda: split_map(inner, range(4)))
-    worker.start()
-    worker.join(timeout=60)
-    assert not worker.is_alive()
-    assert set(ran_on) == {worker}
+
+def test_a_split_inside_a_share_runs_in_that_share_only(monkeypatch):
+    use_cpus(monkeypatch, 8)
+
+    def outer(i):
+        return split_map(lambda j: os.getpid(), range(4))
+
+    first, second = split_map(outer, range(2))
+    assert first == [os.getpid()] * 4  # share 0: the inner split stays in this process
+    assert len(set(second)) == 1 and second[0] != os.getpid()  # share 1: in its child alone
+    assert split_map(lambda j: os.getpid(), range(3), cap=1) == [os.getpid()] * 3
+    assert active_children() == []
+
+
+def test_a_child_that_dies_raises_and_leaves_no_process(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def fn(i):
+        if os.getpid() != parent:
+            os._exit(3)
+        return i
+
+    with pytest.raises(ChildProcessError, match="exited with code 3"):
+        split_map(fn, range(4))
+    assert active_children() == []
+
+
+def test_an_interrupt_in_the_caller_terminates_the_children(monkeypatch):
+    use_cpus(monkeypatch, 3)
+    parent = os.getpid()
+
+    def fn(i):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        return i
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        split_map(fn, range(3))
+    assert time.monotonic() - start < 30
+    assert active_children() == []
+
+
+def test_a_result_that_does_not_pickle_fails_loudly_in_the_caller(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    with pytest.raises(ChildProcessError, match="exited with code 1"):
+        split_map(lambda i: (lambda: i), range(2))  # the child's lambda cannot travel back
+    assert active_children() == []
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [ValueError] + [c for _, c in inspect.getmembers(errors_module, inspect.isclass) if issubclass(c, Exception)],
+)
+def test_errors_survive_the_pipe_from_a_child(cls):
+    exc = pickle.loads(pickle.dumps(cls("singular at 233")))
+    assert type(exc) is cls
+    assert str(exc) == "singular at 233"
 
 
 @pytest.mark.parametrize("command", [verify_args, cheb_sums_args])
@@ -103,9 +162,8 @@ def test_csv_bytes_do_not_depend_on_the_cpu_count(sim_cache, tmp_path, monkeypat
     for cpus in (1, 2, 8):
         use_cpus(monkeypatch, cpus)
         out = tmp_path / f"c{cpus}.csv"
-        before = threading.active_count()
         assert main(command(sim_cache, out)) == 0
-        assert threading.active_count() == before
+        assert active_children() == []
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
 
@@ -123,47 +181,28 @@ def test_csv_bytes_do_not_depend_on_the_cpu_count(sim_cache, tmp_path, monkeypat
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_errors_keep_their_text_and_exit_code(sim_cache, tmp_path, monkeypatch, capsys, command, extra, message, cpus):
     use_cpus(monkeypatch, cpus)
-    before = threading.active_count()
     assert main(command(sim_cache, tmp_path / "e.csv", *extra)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert threading.active_count() == before
+    assert active_children() == []
 
 
-def test_cheb_sum_bound_stays_on_the_calling_thread(sim_cache, tmp_path, monkeypatch):
+def test_cheb_sum_bound_runs_in_the_calling_process(sim_cache, tmp_path, monkeypatch):
     use_cpus(monkeypatch, 8)
+    record, read = recorder(tmp_path / "columns")
     real_bound, real_et = discrepancy_module.cheb_sum_bound, discrepancy_module._erdos_turan
-    bound_threads, et_threads = [], []
 
     def bound(*args):
-        bound_threads.append(threading.current_thread())
+        record("bound")
         return real_bound(*args)
 
     def et(*args):
-        et_threads.append(threading.current_thread())
+        record("et")
         return real_et(*args)
 
     monkeypatch.setattr(discrepancy_module, "cheb_sum_bound", bound)
     monkeypatch.setattr(discrepancy_module, "_erdos_turan", et)
     assert main(verify_args(sim_cache, tmp_path / "v.csv")) == 0
-    assert bound_threads == [threading.main_thread()] * 3
-    assert len(et_threads) == 3 and threading.main_thread() not in et_threads
-
-
-@pytest.mark.parametrize(
-    "threads, xs, most",
-    [("2", "1000,100000,1300000", 2), ("3", "1000,100000,1300000", 3), ("4", "1300000", 2)],
-)
-def test_verify_threads_caps_the_threads_at_work(sim_cache, tmp_path, monkeypatch, threads, xs, most):
-    use_cpus(monkeypatch, 8)
-    real = discrepancy_module._erdos_turan
-    baseline = threading.active_count()
-    peak = []
-
-    def et(*args):
-        peak.append(threading.active_count() - baseline + 1)
-        return real(*args)
-
-    monkeypatch.setattr(discrepancy_module, "_erdos_turan", et)
-    args = ["verify", "--cache", str(sim_cache), "--interval", "half", "--x", xs, "--threads", threads]
-    assert main(args + ["--out", str(tmp_path / "t.csv")]) == 0
-    assert max(peak) == most
+    ran = read()
+    assert [pid for tag, pid in ran if tag == "bound"] == [os.getpid()] * 3
+    et_pids = [pid for tag, pid in ran if tag == "et"]
+    assert len(et_pids) == 3 and os.getpid() not in et_pids
