@@ -338,12 +338,25 @@ def ec_ap(curve: CurveSpec, p: int) -> int:
 # product of two residues stays below p^2 < 2^63.  An addition or doubling
 # whose result has Z = 0 (the point at infinity, or an exceptional case of the
 # formulas) marks its row as failed, except for a giant step that provably
-# lands on the point at infinity; failed rows go to the next pass.
+# lands on the point at infinity; failed rows go to the next pass.  Tables of
+# residues that are never negative are uint32, as LOCKSTEP_P_MAX < 2^32.
 
-LOCKSTEP_BLOCK = 1024  # rows per lockstep pass: a working set of 2-3 MB for p up to 1e6
+LOCKSTEP_BYTES = 2 * 10**6  # peak working set of one lockstep pass; sizes the blocks (lockstep_rows)
 LOCKSTEP_P_MAX = 3 * 10**9  # p^2 < 2^63 below this; larger primes use the scalar route
 _ROW_SHIFT = 34  # candidate key = row << 34 | order; orders are below 2p + 2 < 2^34
 _ORDER_MASK = (1 << _ROW_SHIFT) - 1
+
+
+def lockstep_rows(p_max: int) -> int:
+    """Rows of one lockstep block whose largest prime is p_max: LOCKSTEP_BYTES // bytes per row.
+
+    At its peak a pass holds, per row, the int64 keys of m baby and K giant
+    steps, the giant chain's uint32 Y and int64 Z-factor tables, and about
+    29 int64 vectors: 8 (m + K) + 12 K + 232 bytes, with K <= m + 2 and
+    m = isqrt(isqrt(4 p_max)) + 1.
+    """
+    m = math.isqrt(math.isqrt(4 * p_max)) + 1
+    return max(1, LOCKSTEP_BYTES // (28 * m + 256))
 
 
 def _powmod(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -355,45 +368,15 @@ def _powmod(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
     return result
 
 
-def _batch_inverse(z: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Inverses of z[j] mod p for every step j, with one exponentiation per row.
-
-    Montgomery's simultaneous inversion along the step axis: invert the
-    running product of z[0..L-1], then peel the factors off backwards.  The
-    running products and the inverses share one buffer.
-    """
-    out = np.empty_like(z)
-    acc = out[0] = z[0]
-    for j in range(1, len(z)):
-        acc = out[j] = acc * z[j] % p
-    inv = _powmod(acc, p - 2, p)
-    for j in range(len(z) - 1, 0, -1):
-        out[j] = inv * out[j - 1] % p
-        inv = inv * z[j] % p
-    out[0] = inv
-    return out
-
-
-def _to_affine(X: np.ndarray, Y: np.ndarray, Z: np.ndarray, p: np.ndarray) -> None:
-    """Turn the Jacobian points (X[j] : Y[j] : Z[j]) into affine (x, y), in place in X and Y."""
-    zinv = _batch_inverse(Z, p)
-    t = zinv * zinv
-    t %= p
-    X *= t
-    X %= p
-    t *= zinv
-    t %= p
-    Y *= t
-    Y %= p
-
-
 def _jacobian_double(X, Y, Z, a, p):
+    """2R, and R rescaled to the Z of 2R (a co-Z pair), for R = (X : Y : Z); returns (2R, R', F), Z(2R) = Z F."""
     XX, YY, ZZ = X * X % p, Y * Y % p, Z * Z % p
-    S = 4 * (X * YY % p) % p
+    S = 4 * (X * YY % p) % p  # X (2Y)^2
+    L = 8 * (YY * YY % p) % p  # Y (2Y)^3
     M = (3 * XX + a * (ZZ * ZZ % p)) % p
     X3 = (M * M - 2 * S) % p
-    Y3 = (M * ((S - X3) % p) - 8 * (YY * YY % p)) % p
-    return X3, Y3, 2 * (Y * Z % p) % p
+    F = 2 * Y % p
+    return X3, (M * ((S - X3) % p) - L) % p, Z * F % p, S, L, F
 
 
 def _jacobian_add_affine(X, Y, Z, x2, y2, p):
@@ -408,12 +391,31 @@ def _jacobian_add_affine(X, Y, Z, x2, y2, p):
     return X3, (r * ((V - X3) % p) - Y * HHH) % p, Z * H % p
 
 
+def _co_z_add(X, Y, Z, QX, QY, p):
+    """R + Q, and Q rescaled to the Z of R + Q, for R = (X : Y : Z) and Q = (QX : QY : Z) with one Z.
+
+    Meloni's co-Z addition (ZADDU of Goundar, Rivain and Sakellar): 7
+    reductions against 11 for a mixed addition.  Returns (R + Q, Q', d) with
+    Z(R + Q) = Z d; d = 0 when the x-coordinates agree.  The differences d, e,
+    W1 - W2 and W1 - X3 stay unreduced in (-p, p), so with residues in [0, p)
+    every product below has absolute value at most (p - 1)^2, e e - W1 - W2
+    lies in (-2p, p^2) and e (W1 - X3) - A1 in (-p^2, p^2): all below
+    2^63 for p < LOCKSTEP_P_MAX.
+    """
+    d, e = QX - X, QY - Y
+    C = d * d % p
+    W1, W2 = QX * C % p, X * C % p
+    A1 = QY * (W1 - W2) % p
+    X3 = (e * e - W1 - W2) % p
+    return X3, (e * (W1 - X3) - A1) % p, Z * d % p, W1, A1, d
+
+
 def _jacobian_multiply(k, x, y, a, p):
     """k * (x, y) for k >= 1 per row, by left-to-right double-and-add."""
     X, Y, Z = x, y, np.ones_like(x)
     nbits = np.frexp(k.astype(np.float64))[1]  # bit length of each k (exact below 2^53)
     for bit in range(int(nbits.max()) - 2, -1, -1):
-        DX, DY, DZ = _jacobian_double(X, Y, Z, a, p)
+        DX, DY, DZ = _jacobian_double(X, Y, Z, a, p)[:3]
         AX, AY, AZ = _jacobian_add_affine(DX, DY, DZ, x, y, p)
         use_add = (k >> bit) & 1 == 1
         started = nbits > bit + 1
@@ -421,6 +423,27 @@ def _jacobian_multiply(k, x, y, a, p):
         Y = np.where(started, np.where(use_add, AY, DY), Y)
         Z = np.where(started, np.where(use_add, AZ, DZ), Z)
     return X, Y, Z
+
+
+def _chain_keys(X, Y, F, zinv, p, base, shift):
+    """Turn a chain of points into match keys in place in X, and its Z factors into 1/Z in place in F.
+
+    Entry j is (X[j] : Y[j] : Z[j]) with Z[j] = Z[j-1] F[j], and zinv = 1/Z[-1]
+    per row, so peeling the factors off backwards inverts every Z with one
+    product.  The key of entry j is ((base + x) << 2 | y mod 2) << shift | j,
+    with y mod 2 taken as 0 when Y is None; as p is odd, the parity tells y
+    from -y unless y = 0.
+    """
+    for j in range(len(X) - 1, -1, -1):
+        t = zinv * zinv % p
+        x = X[j] * t % p
+        x <<= 2
+        x += base
+        if Y is not None:
+            x |= Y[j] * (t * zinv % p) % p & 1
+        x <<= shift
+        X[j] = x | j
+        F[j], zinv = zinv, zinv * F[j] % p
 
 
 def _residues(v: int, p: np.ndarray) -> np.ndarray:
@@ -447,6 +470,20 @@ def _candidate_x(p: np.ndarray, salt: int, tries: range) -> np.ndarray:
     return (z % p.astype(np.uint64)).astype(np.int64)
 
 
+def _start_points(p, A, B, salt, chi_wanted):
+    """(failed, chi, a, px, py): a point P = (px, py) on y^2 = x^3 + ax + b, the twist of E by chi, per row."""
+    xs = _candidate_x(p, salt, range(0, 4) if chi_wanted is None else range(4, 16))
+    fs = (xs * xs % p * xs % p + A * xs % p + B) % p
+    usable = fs != 0
+    if chi_wanted is not None:
+        usable &= _legendre(fs, p) == chi_wanted
+    pick, cols = np.argmax(usable, axis=0), np.arange(p.size)
+    x, f = xs[pick, cols], fs[pick, cols]
+    ff = f * f % p
+    chi = _legendre(f, p) if chi_wanted is None else chi_wanted
+    return ~usable[pick, cols], chi, A * ff % p, x * f % p, ff
+
+
 def _lockstep_pass(p, A, B, salt, chi_wanted=None):
     """One lockstep BSGS order search for every row.
 
@@ -457,108 +494,104 @@ def _lockstep_pass(p, A, B, salt, chi_wanted=None):
     nP = O is found: baby steps iP (i = 1..m) are matched by x-coordinate
     against giant steps s_k P, s_k = (q0 + k)(2m + 1), so n = s_k -+ i;
     an exact hit s_k P = O (k >= 1) gives n = s_k and restarts the chain.
-    Returns (keys, failed, chi): the sorted distinct ``row << 34 | #E(F_p)``
-    candidates of the rows that did not fail, mapped back from E_f to E; the
-    rows that failed (an exceptional addition, or no usable x); and the
-    Legendre symbol of each row's f.
+    Both chains step by co-Z additions.  The baby chain becomes match keys
+    (x and the parity of y) before the giant chain starts, and the giant
+    chain keys on x alone and keeps Y and 1/Z for the steps that match, so
+    one chain's Y and Z tables are held at a time.  Babies and giants are
+    matched by one in-place sort of their keys.  Returns (keys, failed, chi): the sorted distinct
+    ``row << 34 | #E(F_p)`` candidates of the rows that did not fail, mapped
+    back from E_f to E; the rows that failed (an exceptional addition, or no
+    usable x); and the Legendre symbol of each row's f.
     """
     n = p.size
-    xs = _candidate_x(p, salt, range(0, 4) if chi_wanted is None else range(4, 16))
-    fs = (xs * xs % p * xs % p + A * xs % p + B) % p
-    usable = fs != 0
-    if chi_wanted is not None:
-        usable &= _legendre(fs, p) == chi_wanted
-    pick = np.argmax(usable, axis=0)
-    cols = np.arange(n)
-    failed = ~usable[pick, cols]
-    x, f = xs[pick, cols], fs[pick, cols]
-    chi = _legendre(f, p) if chi_wanted is None else chi_wanted
-    ff = f * f % p
-    a, px, py = A * ff % p, x * f % p, ff
-
+    failed, chi, a, px, py = _start_points(p, A, B, salt, chi_wanted)
     root = np.sqrt(4.0 * p).astype(np.int64)  # isqrt(4p): float sqrt is off by at most 1 here
     root -= root * root > 4 * p
     root += (root + 1) * (root + 1) <= 4 * p
     lo, hi = p + 1 - root, p + 1 + root
     m = math.isqrt(int(root.max())) + 1  # window width 2*root; m ~ sqrt(width / 2)
     step = 2 * m + 1
-
-    # baby steps: row j holds (j + 1)P for j < m; row m holds J = (2m + 1)P
-    BX, BY, BZ = (np.empty((m + 1, n), dtype=np.int64) for _ in range(3))
-    X, Y, Z = px, py, np.ones(n, dtype=np.int64)
-    for j in range(m):
-        BX[j], BY[j], BZ[j] = X, Y, Z
-        if j == 0:
-            X, Y, Z = _jacobian_double(X, Y, Z, a, p)
-        elif j < m - 1:
-            X, Y, Z = _jacobian_add_affine(X, Y, Z, px, py, p)
-    X, Y, Z = _jacobian_double(BX[m - 1], BY[m - 1], BZ[m - 1], a, p)
-    BX[m], BY[m], BZ[m] = _jacobian_add_affine(X, Y, Z, px, py, p)
-    failed |= (BZ == 0).any(axis=0)
-    _to_affine(BX, BY, BZ, p)
-    del BZ
-    jx, jy = BX[m].copy(), BY[m].copy()
-
-    # giant steps: G_k = s_k P = (q0 + k) J, centres spaced 2m + 1 apart over [lo, hi];
-    # after G_k = O (k >= 1) the chain restarts at G_{k+1} = J and G_{k+2} = 2J,
-    # the latter from a doubling, as J + J is exceptional for the mixed addition
-    q0 = (lo + m) // step
+    q0 = (lo + m) // step  # giant step k is centred at s_k = (q0 + k) step
     failed |= q0 < 1  # a block mixing primes of very different sizes: no room below lo
     q0 = np.maximum(q0, 1)
     K = int(((hi - m + step - 1) // step - q0).max()) + 1
-    GX, GY, GZ = (np.empty((K, n), dtype=np.int64) for _ in range(3))
-    one = np.ones(n, dtype=np.int64)
-    restarts = ((jx, jy, one), _jacobian_double(jx, jy, one, a, p))
-    X, Y, Z = _jacobian_multiply(q0, jx, jy, a, p)
-    for k in range(K):
-        GX[k], GY[k], GZ[k] = X, Y, Z
-        if k < K - 1:
-            X, Y, Z = _jacobian_add_affine(X, Y, Z, jx, jy, p)
-            for back, point in enumerate(restarts):  # G_{k-back} = O: G_{k+1} = (back + 1) J
-                if k - back >= 1 and (hit := GZ[k - back] == 0).any():
-                    X, Y, Z = [np.where(hit, new, old) for new, old in zip(point, (X, Y, Z))]
-    zero = GZ == 0
-    failed |= zero[0]
-    hit_k, hit_row = np.nonzero(zero[1:])
-    hit_k += 1
-    GZ[zero] = 1  # keeps the row's simultaneous inversion defined
-    _to_affine(GX, GY, GZ, p)
-    del GZ
-    # Z = 0 is an exact hit s_k P = O only after G_{k-1} = -J; else a formula broke down
-    exact = (GX[hit_k - 1, hit_row] == jx[hit_row]) & (GY[hit_k - 1, hit_row] == -jy[hit_row] % p[hit_row])
-    failed[hit_row[~exact]] = True
-    hit_row, hit_s = hit_row[exact], (q0[hit_row[exact]] + hit_k[exact]) * step
-    np.copyto(GX, p, where=zero)  # x = p matches no baby step
+    # match keys ((row * stride + x) << 2 | baby 0 or giant 2 | baby's y mod 2) << shift | step index
+    stride, shift = int(p.max()) + 1, max(m, K).bit_length()
+    base = np.arange(n, dtype=np.int64) * stride << 2
+    keys = np.empty((m + K, n), dtype=np.int64)  # rows 0..m-1: babies (i - 1); rows m..: giants (k)
 
-    # match x(G_k) with x(iP) in the same row on sort keys (row * stride + x) << shift,
-    # which carry the baby index i - 1 in their low bits
-    shift = m.bit_length()
-    low = (1 << shift) - 1
-    stride = int(p.max()) + 1
-    offsets = np.arange(n, dtype=np.int64) * stride
-    bkeys = BX[:m].reshape(-1)  # a view: the keys replace the x-coordinates
-    BX[:m] += offsets
-    BX[:m] <<= shift
-    BX[:m] |= np.arange(m)[:, None]
-    bkeys.sort()
-    # two baby points with one x mean ord(P) <= 2m; such a row could hide an order
-    twins = np.flatnonzero((bkeys[1:] ^ bkeys[:-1]) <= low)
-    failed[(bkeys[twins] >> shift) // stride] = True
-    gkeys = GX.reshape(-1)
-    GX += offsets
-    GX <<= shift
-    first = np.searchsorted(bkeys, gkeys)
-    np.minimum(first, bkeys.size - 1, out=first)
-    found = bkeys[first]
-    found ^= gkeys
-    g = np.flatnonzero(found <= low)  # giant points whose (row, x) is a baby key
-    row, k, i = g % n, g // n, (bkeys[first[g]] & low) + 1
-    b = (i - 1) * n + row  # flat index of iP in the baby arrays
-    yb, yg = BY.reshape(-1)[b], GY.reshape(-1)[g]
-    s = (q0[row] + k) * step
-    same, opposite = yb == yg, (yb + yg) % p[row] == 0  # G_k = iP or G_k = -iP
-    row = np.concatenate((row[same], row[opposite], hit_row))
-    order_f = np.concatenate((s[same] - i[same], s[opposite] + i[opposite], hit_s))
+    # baby steps: entry j holds (j + 1)P, stepped by co-Z additions from 2P; J = (2m + 1)P aside
+    BY, BF = np.empty((m, n), dtype=np.uint32), np.empty((m, n), dtype=np.int64)
+    keys[0], BY[0], BF[0] = px, py, 1
+    X, Y, Z, QX, QY, F = _jacobian_double(px, py, np.ones(n, dtype=np.int64), a, p)
+    for j in range(1, m):
+        keys[j], BY[j], BF[j] = X, Y, F
+        if j < m - 1:
+            X, Y, Z, QX, QY, F = _co_z_add(X, Y, Z, QX, QY, p)
+    JX, JY, JZ = _jacobian_add_affine(*_jacobian_double(X, Y, Z, a, p)[:3], px, py, p)
+    failed |= JZ == 0  # a chain with a Z = 0 keeps it
+    t = _powmod(Z * JZ % p, p - 2, p)  # one inverse for both mP and J
+    _chain_keys(keys[:m], BY, BF, t * JZ % p, p, base, shift)
+    t = t * Z % p
+    jx, jy = JX * (t * t % p) % p, JY * (t * t % p * t % p) % p
+    del BY, BF, JX, JY, JZ, px, py, t
+
+    # giant steps: G_k = s_k P = (q0 + k) J, stepped by co-Z additions with J; after an
+    # exact hit G_k = O (k >= 1) the chain holds J at the old Z for G_{k+1}, then doubles
+    # it for G_{k+2}, as J + J is exceptional for the addition
+    X, Y, Z = _jacobian_multiply(q0, jx, jy, a, p)
+    GY, GF = np.empty((K, n), dtype=np.uint32), np.empty((K, n), dtype=np.int64)
+    failed |= Z == 0
+    QX, QY, F = jx * (Z * Z % p) % p, jy * (Z * Z % p * Z % p) % p, Z
+    one = np.broadcast_to(np.int64(1), n)
+    held = doubled = np.empty(0, dtype=np.intp)  # rows with G_k = O; rows with G_{k-1} = O
+    hits = []  # (k, rows) of G_k = O, k >= 1
+    for k in range(K):
+        keys[m + k], GY[k], GF[k] = X, Y, F
+        if k == K - 1:
+            break
+        new = _co_z_add(X, Y, Z, QX, QY, p)
+        if held.size:
+            for v, old in zip(new, (X, Y, Z, QX, QY, one)):
+                v[held] = old[held]
+        if doubled.size:
+            for v, old in zip(new, _jacobian_double(X[doubled], Y[doubled], Z[doubled], a[doubled], p[doubled])):
+                v[doubled] = old
+        held, doubled = np.flatnonzero(new[2] == 0), held
+        if held.size:  # G_{k+1} = O is an exact hit only after G_k = -J; else a formula broke down
+            failed[held[(X[held] != QX[held]) | ((Y[held] + QY[held]) % p[held] != 0)]] = True
+            hits.append((k + 1, held))
+            for v, old in zip(new, (QX, QY, Z, QX, QY, one)):
+                v[held] = old[held]
+        X, Y, Z, QX, QY, F = new
+    _chain_keys(keys[m:], None, GF, _powmod(Z, p - 2, p), p, base | 2, shift)  # y only where matched
+    del X, Y, Z, QX, QY, F, new
+    for k, rows in hits:  # x = p matches no baby step
+        keys[m + k, rows] = ((base[rows] | 2) + (p[rows] << 2)) << shift | k
+
+    # one sort brings each giant key right after the baby key of the same (row, x), if any
+    flat = keys.reshape(-1)
+    flat.sort()
+    link = []  # t where flat[t] and flat[t + 1] share (row, x), in chunks of 4n so no second buffer is held
+    for t in range(0, flat.size - 1, 4 * n):
+        chunk = flat[t:t + 4 * n + 1]
+        link.append(t + np.flatnonzero(chunk[1:] ^ chunk[:-1] < 1 << (shift + 2)))
+    link = np.concatenate(link)
+    first = link[np.r_[True, link[1:] != link[:-1] + 1]]
+    head = flat[first[np.searchsorted(first, link, side="right") - 1]]  # the first key of each run
+    tail = flat[link + 1]
+    giant, row = tail >> (shift + 1) & 1 == 1, (tail >> (shift + 2)) // stride
+    failed[row[~giant]] = True  # two baby points with one x mean ord(P) <= 2m; such a row could hide an order
+    g = giant & (head >> (shift + 1) & 1 == 0)  # giant keys in a run that starts with a baby
+    head, tail, row = head[g], tail[g], row[g]
+    k, i = tail & (1 << shift) - 1, (head & (1 << shift) - 1) + 1
+    s, z = (q0[row] + k) * step, GF[k, row]
+    # G_k = iP, or -iP where y has the other parity: a baby step with y = 0 has ord(P) = 2i,
+    # so for i < m (i - 1)P and (i + 1)P are twins, and for i = m, J = 2mP + P has Z = 0
+    flip = (head >> shift & 1) != (GY[k, row] * (z * z % p[row] * z % p[row]) % p[row] & 1)
+    del GY, GF
+    row = np.concatenate([row] + [rows for _, rows in hits])
+    order_f = np.concatenate([s + np.where(flip, i, -i)] + [(q0[rows] + k) * step for k, rows in hits])
     keep = (order_f >= lo[row]) & (order_f <= hi[row]) & ~failed[row]
     row, order_f = row[keep], order_f[keep]
     order_e = np.where(chi[row] == 1, order_f, 2 * p[row] + 2 - order_f)
@@ -662,19 +695,34 @@ def _send_share(fn, items, writer) -> None:
     writer.send(_share(fn, items))
 
 
+def _lockstep_blocks(p: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of consecutive blocks over the increasing primes p.
+
+    A block holds lockstep_rows(q) rows, or the rest, where q is the largest
+    prime of the block the first prime's size would give; q is at least the
+    block's own largest prime, so no block exceeds LOCKSTEP_BYTES.
+    """
+    bounds, start = [], 0
+    while start < p.size:
+        stop = min(start + lockstep_rows(int(p[start])), p.size)
+        bounds.append((start, min(start + lockstep_rows(int(p[stop - 1])), p.size)))
+        start = bounds[-1][1]
+    return bounds
+
+
 def ec_ap_array(curve: CurveSpec, primes) -> np.ndarray:
     """a_p for an array of good primes, as exact int64, in the order given.
 
     The primes 229 < p < LOCKSTEP_P_MAX run, in increasing order, through
-    lockstep blocks of LOCKSTEP_BLOCK rows: a first pass with a point on E
-    or on its twist, then a second pass with a point on the other twist for
-    the rows the first left without exactly one candidate order (together,
-    across blocks).  Each pass settles a row on its own candidates.  Every
-    other prime, and every row still open, goes to the scalar ec_ap in this
-    process.  Each pass maps its blocks with split_map, a block's outcome
-    depends on its rows alone, and a_p is exact whatever the path, so the
-    result depends neither on how the primes are split into calls nor on
-    the number of CPUs.
+    lockstep blocks sized by lockstep_rows (see _lockstep_blocks): a first
+    pass with a point on E or on its twist, then a second pass with a point
+    on the other twist for the rows the first left without exactly one
+    candidate order (together, across blocks).  Each pass settles a row on
+    its own candidates.  Every other prime, and every row still open, goes
+    to the scalar ec_ap in this process.  Each pass maps its blocks with
+    split_map, a block's outcome depends on its rows alone, and a_p is
+    exact whatever the path, so the result depends neither on how the
+    primes are split into calls nor on the number of CPUs.
     """
     ps = np.asarray(primes, dtype=np.int64).reshape(-1)
     out = np.empty(ps.size, dtype=np.int64)
@@ -687,18 +735,18 @@ def ec_ap_array(curve: CurveSpec, primes) -> np.ndarray:
     salt = hash(curve.ainvs()) & 0xFFFFFFFF
     chi_wanted = None
 
-    def block(start):  # rows[start:start + LOCKSTEP_BLOCK] of the current pass
-        stop = start + LOCKSTEP_BLOCK
+    def block(bounds):  # rows[start:stop] of the current pass
+        start, stop = bounds
         p = ps[rows[start:stop]]
         wanted = None if chi_wanted is None else chi_wanted[start:stop]
         return _lockstep_pass(p, *_short_models(curve, p), salt, wanted)
 
     for _ in range(2):  # the rows pass 1 leaves open go to pass 2 with a point on the other twist
         is_open, chi = np.zeros(rows.size, dtype=bool), np.zeros(rows.size, dtype=np.int64)
-        starts = range(0, rows.size, LOCKSTEP_BLOCK)
-        blocks = split_map(block, starts, cap=rows.size // LOCKSTEP_BLOCK)  # forks for two full blocks or more
-        for start, (keys, failed, block_chi) in zip(starts, blocks):
-            stop = start + failed.size
+        bounds = _lockstep_blocks(ps[rows])
+        full = rows.size // lockstep_rows(int(ps[rows[-1]])) if rows.size else 0
+        blocks = split_map(block, bounds, cap=full)  # forks for two blocks of the largest primes or more
+        for (start, stop), (keys, failed, block_chi) in zip(bounds, blocks):
             is_open[start + _settle(out, ps, rows[start:stop], keys, failed)] = True
             chi[start:stop] = block_chi
         rows, chi_wanted = rows[is_open], -chi[is_open]

@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from satotate.angles import AngleSeries, angle_from_ap, curve_meta
-from satotate.curves import LOCKSTEP_BLOCK, CurveSpec, _residues, ec_ap, ec_ap_array, split_map
+from satotate.curves import CurveSpec, _residues, ec_ap, ec_ap_array, lockstep_rows, split_map
 from satotate.errors import DegenerateFit, SatotateError, SearchExceeded
 from satotate.measure import Interval, cheb_u_rows, cheb_u_table, mu_st, st_cdf
 from satotate.primes import PrimeRange, prime_count, prime_divisors, primes_in
@@ -277,9 +277,9 @@ def least_prime_in_interval(
     interval counts at a handful of primes up to a hit that thousands of
     good primes precede; primes dividing the discriminant are always
     counted.  The kept good primes of each chunk go to ec_ap_array in blocks
-    that double from 64 primes up to LOCKSTEP_BLOCK, and Interval.contains
-    on angle_from_ap decides every hit, so the answer is the one a scan of
-    every good prime gives.
+    that double from 64 primes up to lockstep_rows of the chunk's largest
+    prime, and Interval.contains on angle_from_ap decides every hit, so the
+    answer is the one a scan of every good prime gives.
     """
     mu = mu_st(interval)
     if mu <= 0.0:
@@ -300,7 +300,8 @@ def least_prime_in_interval(
     size = 64
     for kept in _window_primes(curve, interval, meta.weight_k, ceiling):
         good = (p for p in kept if p not in bad)
-        while block := list(islice(good, size)):
+        cap = lockstep_rows(kept[-1]) if kept else 1  # kept is increasing
+        while block := list(islice(good, min(size, cap))):
             try:
                 thetas = angle_from_ap(ec_ap_array(curve, block), block, meta.weight_k).tolist()
             except SatotateError:
@@ -309,7 +310,7 @@ def least_prime_in_interval(
             for p, theta in zip(block, thetas):
                 if interval.contains(theta):
                     return LeastPrimeResult(p, bound)
-            size = min(2 * size, LOCKSTEP_BLOCK)
+            size = min(2 * size, cap)
     raise SearchExceeded(f"no good prime <= {ceiling} with theta_p in I")
 
 

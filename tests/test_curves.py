@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from satotate.curves import (
     ec_ap_naive,
     ec_count_points_enum,
     ec_count_points_naive,
+    lockstep_rows,
     sqrt_mod,
 )
 from satotate.discrepancy import least_prime_in_interval
@@ -232,6 +234,56 @@ def test_ap_array_mixed_sizes_up_to_the_int64_limit():
         assert ec_ap_array(curve, ps).tolist() == [ec_ap_bsgs(curve, p) for p in ps]
 
 
+@pytest.mark.parametrize("curve", [CURVE_11A1, CURVE_37A1], ids=lambda c: c.label)
+def test_ap_array_equals_scalar_bsgs_at_1e8_and_below_the_int64_limit(curve):
+    # the co-Z steps leave differences unreduced: their products must stay below 2^63 up to LOCKSTEP_P_MAX
+    rng = random.Random(curve.conductor)
+    sample = rng.sample(good_primes(curve, 10**8, 100_100_000).tolist(), 30)
+    limit = curves_module.LOCKSTEP_P_MAX
+    sample += rng.sample(good_primes(curve, limit - 3000, limit).tolist(), 10)
+    assert ec_ap_array(curve, sample).tolist() == [ec_ap_bsgs(curve, p) for p in sample]
+
+
+@pytest.mark.parametrize("curve", [CURVE_11A1, CURVE_32A], ids=lambda c: c.label)
+def test_ap_array_does_not_depend_on_the_block_size(curve, monkeypatch):
+    # a_p is exact at every size; which rows fail a pass depends on the block's geometry (m from its
+    # largest prime), so the rows left to the scalar route may differ, but only at a few primes
+    ps = good_primes(curve, 2, 30_000)
+    real = curves_module.ec_ap
+    calls = []
+
+    def counting_ec_ap(curve, p):
+        calls.append(p)
+        return real(curve, p)
+
+    monkeypatch.setattr(curves_module, "ec_ap", counting_ec_ap)
+    whole = ec_ap_array(curve, ps)
+    whole_calls, lockstep = calls[:], np.count_nonzero(ps > 229)
+    for rows in (64, 1000, 5000):
+        calls.clear()
+        monkeypatch.setattr(curves_module, "lockstep_rows", lambda p_max: rows)
+        assert np.array_equal(ec_ap_array(curve, ps), whole), rows
+        assert [p for p in calls if p <= 229] == [p for p in whole_calls if p <= 229], rows
+        assert len(set(calls) ^ set(whole_calls)) <= 0.002 * lockstep, (rows, calls, whole_calls)
+
+
+def test_a_production_block_keeps_the_working_set_of_a_1024_row_block():
+    # a 1024-row block of the primes below 2e5 peaked at 2,124,488 traced bytes before the co-Z
+    # kernel; blocks sized by lockstep_rows must not hold more, or bulk builds grow in memory
+    curve = CURVE_11A1
+    ps = good_primes(curve, 150_000, 200_000)
+    ps = ps[-lockstep_rows(int(ps[-1])):]
+    args = (ps, *curves_module._short_models(curve, ps), 1)
+    curves_module._lockstep_pass(*args)  # numpy's first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        curves_module._lockstep_pass(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ps.size > 1024 and peak < 2_124_488, (ps.size, peak)
+
+
 def test_ap_array_rejects_bad_primes():
     with pytest.raises(BadReduction, match="^37a1 has bad reduction at 37$"):
         ec_ap_array(CURVE_37A1, [5, 37, 41])
@@ -306,7 +358,8 @@ def test_engine_settles_almost_every_row(monkeypatch):
 def test_exact_giant_hits_settle_in_the_first_pass():
     # rows whose #E_f is a giant-step centre s_k, k >= 1: G_k = O, which once failed every such row
     curve = CURVE_11A1
-    ps = good_primes(curve, 230, 20_000)[: curves_module.LOCKSTEP_BLOCK]
+    ps = good_primes(curve, 230, SPLIT_XMAX)
+    ps = ps[: curves_module._lockstep_blocks(ps)[0][1]]  # the first block ec_ap_array makes
     keys, failed, chi = curves_module._lockstep_pass(ps, *curves_module._short_models(curve, ps), 1)
     m = math.isqrt(math.isqrt(4 * int(ps.max()))) + 1  # the pass's geometry: step 2m + 1, first centre q0
     step = 2 * m + 1
@@ -514,8 +567,8 @@ def recording_pids(monkeypatch, tmp_path):
     return lambda: {int(f.name[4:]) for f in tmp_path.glob("pid-*")}
 
 
-# about 4200 good primes above 229: five lockstep blocks
-SPLIT_XMAX = 40_000
+# the smallest multiple of 1e4 whose good primes above 229 fill three lockstep blocks of its size
+SPLIT_XMAX = next(x for x in range(10_000, 10**6, 10_000) if primes_array(230, x).size > 3 * lockstep_rows(x))
 
 
 @pytest.mark.parametrize("curve", BATTERY, ids=lambda c: c.label)
@@ -585,8 +638,8 @@ def test_split_reports_a_worker_that_died(monkeypatch):
 def test_small_inputs_start_no_process(monkeypatch, tmp_path):
     pids = recording_pids(monkeypatch, tmp_path)
     use_cpus(monkeypatch, 8)
-    ps = good_primes(CURVE_11A1, 230, 20_000)
-    ec_ap_array(CURVE_11A1, ps[: 2 * curves_module.LOCKSTEP_BLOCK - 1])  # one full block
+    ps = good_primes(CURVE_11A1, 230, SPLIT_XMAX)
+    ec_ap_array(CURVE_11A1, ps[: 2 * lockstep_rows(SPLIT_XMAX) - 1])  # one full block
     with pytest.raises(SearchExceeded):  # a scan with no hit, which counts points at no prime
         least_prime_in_interval(CURVE_11A1, Interval(0.0, 1e-6), ceiling=20_000)
     assert pids() == {os.getpid()}

@@ -14,6 +14,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
     [
         ("weight_report.py", ["--x", "1000"], "plateau 1.000000"),
         ("decay_experiment.py", ["--label", "11a1", "--xmax", "2000"], "built 11a1 to 2000"),
+        ("engine_profile.py", ["--curve", "11a1", "--xmax", "20000"], "rows/s in one process"),
     ],
 )
 def test_script_runs(script, args, expect):
