@@ -353,10 +353,11 @@ def lockstep_rows(p_max: int) -> int:
     At its peak a pass holds, per row, the int64 keys of m baby and K giant
     steps, the giant chain's uint32 Y and int64 Z-factor tables, and about
     29 int64 vectors: 8 (m + K) + 12 K + 232 bytes, with K <= m + 2 and
-    m = isqrt(isqrt(4 p_max)) + 1.
+    m = isqrt(isqrt(4 p_max)) + 1: at most 28 m + 272 bytes.  Traced peaks of
+    passes from p = 2e4 to 3e9 come to 28 m + 228 to 28 m + 260 bytes a row.
     """
     m = math.isqrt(math.isqrt(4 * p_max)) + 1
-    return max(1, LOCKSTEP_BYTES // (28 * m + 256))
+    return max(1, LOCKSTEP_BYTES // (28 * m + 272))
 
 
 def _powmod(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -577,7 +578,7 @@ def _lockstep_pass(p, A, B, salt, chi_wanted=None):
         chunk = flat[t:t + 4 * n + 1]
         link.append(t + np.flatnonzero(chunk[1:] ^ chunk[:-1] < 1 << (shift + 2)))
     link = np.concatenate(link)
-    first = link[np.r_[True, link[1:] != link[:-1] + 1]]
+    first = link[np.diff(link, prepend=-2) != 1]  # link may be empty: a one-row block with only a hit
     head = flat[first[np.searchsorted(first, link, side="right") - 1]]  # the first key of each run
     tail = flat[link + 1]
     giant, row = tail >> (shift + 1) & 1 == 1, (tail >> (shift + 2)) // stride
@@ -695,26 +696,11 @@ def _send_share(fn, items, writer) -> None:
     writer.send(_share(fn, items))
 
 
-def _lockstep_blocks(p: np.ndarray) -> list[tuple[int, int]]:
-    """(start, stop) of consecutive blocks over the increasing primes p.
-
-    A block holds lockstep_rows(q) rows, or the rest, where q is the largest
-    prime of the block the first prime's size would give; q is at least the
-    block's own largest prime, so no block exceeds LOCKSTEP_BYTES.
-    """
-    bounds, start = [], 0
-    while start < p.size:
-        stop = min(start + lockstep_rows(int(p[start])), p.size)
-        bounds.append((start, min(start + lockstep_rows(int(p[stop - 1])), p.size)))
-        start = bounds[-1][1]
-    return bounds
-
-
 def ec_ap_array(curve: CurveSpec, primes) -> np.ndarray:
     """a_p for an array of good primes, as exact int64, in the order given.
 
     The primes 229 < p < LOCKSTEP_P_MAX run, in increasing order, through
-    lockstep blocks sized by lockstep_rows (see _lockstep_blocks): a first
+    lockstep blocks of lockstep_rows(the pass's largest prime) rows: a first
     pass with a point on E or on its twist, then a second pass with a point
     on the other twist for the rows the first left without exactly one
     candidate order (together, across blocks).  Each pass settles a row on
@@ -735,18 +721,19 @@ def ec_ap_array(curve: CurveSpec, primes) -> np.ndarray:
     salt = hash(curve.ainvs()) & 0xFFFFFFFF
     chi_wanted = None
 
-    def block(bounds):  # rows[start:stop] of the current pass
-        start, stop = bounds
+    def block(start):  # rows[start:start + size] of the current pass
+        stop = start + size
         p = ps[rows[start:stop]]
         wanted = None if chi_wanted is None else chi_wanted[start:stop]
         return _lockstep_pass(p, *_short_models(curve, p), salt, wanted)
 
     for _ in range(2):  # the rows pass 1 leaves open go to pass 2 with a point on the other twist
         is_open, chi = np.zeros(rows.size, dtype=bool), np.zeros(rows.size, dtype=np.int64)
-        bounds = _lockstep_blocks(ps[rows])
-        full = rows.size // lockstep_rows(int(ps[rows[-1]])) if rows.size else 0
-        blocks = split_map(block, bounds, cap=full)  # forks for two blocks of the largest primes or more
-        for (start, stop), (keys, failed, block_chi) in zip(bounds, blocks):
+        size = lockstep_rows(int(ps[rows[-1]])) if rows.size else 1
+        starts = range(0, rows.size, size)
+        blocks = split_map(block, starts, cap=rows.size // size)  # forks for two full blocks or more
+        for start, (keys, failed, block_chi) in zip(starts, blocks):
+            stop = start + failed.size
             is_open[start + _settle(out, ps, rows[start:stop], keys, failed)] = True
             chi[start:stop] = block_chi
         rows, chi_wanted = rows[is_open], -chi[is_open]

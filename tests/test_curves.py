@@ -359,7 +359,7 @@ def test_exact_giant_hits_settle_in_the_first_pass():
     # rows whose #E_f is a giant-step centre s_k, k >= 1: G_k = O, which once failed every such row
     curve = CURVE_11A1
     ps = good_primes(curve, 230, SPLIT_XMAX)
-    ps = ps[: curves_module._lockstep_blocks(ps)[0][1]]  # the first block ec_ap_array makes
+    ps = ps[: lockstep_rows(int(ps[-1]))]  # the first block ec_ap_array makes
     keys, failed, chi = curves_module._lockstep_pass(ps, *curves_module._short_models(curve, ps), 1)
     m = math.isqrt(math.isqrt(4 * int(ps.max()))) + 1  # the pass's geometry: step 2m + 1, first centre q0
     step = 2 * m + 1
@@ -372,6 +372,27 @@ def test_exact_giant_hits_settle_in_the_first_pass():
     assert hits.size >= 20 and len(settled) >= 3 * hits.size // 4
     for j in settled:
         assert keys[owner == j][0] & curves_module._ORDER_MASK == order_e[j]
+
+
+@pytest.mark.parametrize("curve", [CURVE_11A1, CURVE_32A], ids=lambda c: c.label)
+def test_one_row_blocks_with_an_exact_giant_hit(curve):
+    # a one-row block (least_prime_in_interval makes them) whose #E_f is a giant-step centre
+    # s_k, k >= 1: at the last centre with ord(P) large, no baby and giant share an x, and the
+    # hit alone gives the candidate
+    ps = good_primes(curve, 230, 30_000)
+    A, B = curves_module._short_models(curve, ps)
+    order_e = ps + 1 - ec_ap_array(curve, ps)  # checked against ec_ap_naive below, where it counts
+    m = np.array([math.isqrt(math.isqrt(4 * p)) + 1 for p in ps.tolist()])  # one-row geometry
+    step = 2 * m + 1
+    q0 = (ps + 1 - np.array([math.isqrt(4 * p) for p in ps.tolist()]) + m) // step
+    picked = [(j, chi) for j in range(ps.size) for chi, n in ((1, order_e[j]), (-1, 2 * ps[j] + 2 - order_e[j]))
+              if n % step[j] == 0 and n // step[j] > q0[j]]
+    assert len(picked) >= 100
+    for j, chi in picked:
+        assert ec_ap_array(curve, ps[j:j + 1])[0] == ps[j] + 1 - order_e[j] == ec_ap_naive(curve, int(ps[j])), ps[j]
+        # a second pass on one row, with a point on the curve or twist whose order is the centre
+        keys, failed, _ = curves_module._lockstep_pass(ps[j:j + 1], A[j:j + 1], B[j:j + 1], 1, np.array([chi]))
+        assert failed[0] or order_e[j] in keys & curves_module._ORDER_MASK, (ps[j], chi)
 
 
 def scalar_least_prime(thetas_by_p, interval):
