@@ -4,8 +4,9 @@
 Counts points at every good prime up to --xmax, in this process only so that
 every block is seen here, and prints the rows per second, the blocks of each
 pass (rows, largest prime, time, peak of what it allocates), the rows that take pass 2
-and the primes that fall back to the scalar route.  The peaks come from a
-second, traced run, so the first run's time carries no tracing cost.
+and the primes that fall back to the scalar route, with their total time and
+time per call.  The peaks come from a second, traced run, so the first run's
+time carries no tracing cost.
 
     python scripts/engine_profile.py --curve 11a1 --xmax 200000
 """
@@ -50,15 +51,17 @@ def main() -> int:
         return result
 
     def counted_ec_ap(curve, p):
-        scalar.append(p)
-        return real_ec_ap(curve, p)
+        start = time.perf_counter()
+        a_p = real_ec_ap(curve, p)
+        scalar.append((p, time.perf_counter() - start))
+        return a_p
 
     curves._cpu_count = lambda: 1  # one process: split_map maps the blocks here
     curves._lockstep_pass, curves.ec_ap = traced_pass, counted_ec_ap
     start = time.perf_counter()
     ec_ap_array(curve, ps)
     seconds = time.perf_counter() - start
-    timed, fallbacks = blocks[:], sum(p > NAIVE_BSGS_CROSSOVER for p in scalar)
+    timed, fallbacks = blocks[:], [s for p, s in scalar if p > NAIVE_BSGS_CROSSOVER]
     blocks.clear()
     tracemalloc.start()
     ec_ap_array(curve, ps)
@@ -72,7 +75,9 @@ def main() -> int:
     pass_1 = [rows for pass_no, rows, *_ in timed if pass_no == 1]
     print(f"rows per block in pass 1: {', '.join(map(str, pass_1))}")
     print(f"pass-2 rows: {sum(rows for pass_no, rows, *_ in timed if pass_no == 2)}")
-    print(f"scalar fallbacks: {fallbacks} (p > {NAIVE_BSGS_CROSSOVER})")
+    fallback_s = sum(fallbacks)
+    print(f"scalar fallbacks: {len(fallbacks)} (p > {NAIVE_BSGS_CROSSOVER}) in {fallback_s:.4f} s, "
+          f"{1e3 * fallback_s / max(len(fallbacks), 1):.3f} ms per call")
     return 0
 
 

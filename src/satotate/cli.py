@@ -211,10 +211,7 @@ def cmd_cheb_sums(args) -> int:
 
 def cmd_smooth(args) -> int:
     series = load_cache(args.cache)
-    if args.preset == "paper-proof":
-        weight = prime_sums.paper_proof_weight(args.x, max(args.m, 1))
-    else:
-        weight = prime_sums.SmoothingWeight(args.x, args.ell, args.eps)
+    weight = prime_sums.SmoothingWeight(args.x, args.ell, args.eps)
     value = prime_sums.smoothed_psi(series, args.m, weight)
     phi0 = prime_sums.weight_laplace(weight, 0.0).real
     print(
@@ -333,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--ell", type=int, default=4, help="order of the weight's polynomial edges, 1 to 14")
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--preset", choices=("paper-proof",), default=None)
     p.set_defaults(func=cmd_smooth)
 
     p = sub.add_parser("fit", help="least-squares decay exponent of log(error) vs log(x)")

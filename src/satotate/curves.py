@@ -7,7 +7,9 @@ Three point-counting routes, by prime size:
 - Legendre-symbol summation on the reduced short model (p > 3, O(p),
   vectorised with a quadratic-residue table);
 - Shanks/Mestre baby-step giant-step order search (p > 229, O(p^(1/4))
-  group operations), with quadratic-twist fallback on ambiguous orders.
+  group operations), on points of E and of its quadratic twist alike, each
+  taken by the twist map x -> (xf, f^2), f = x^3 + Ax + B, with no square
+  root; the lockstep engine runs this search over blocks of primes.
 
 a_p = p + 1 - #E(F_p), and |a_p| <= 2 sqrt(p) by Hasse.
 """
@@ -162,38 +164,6 @@ def ec_ap_naive(curve: CurveSpec, p: int) -> int:
     return p + 1 - ec_count_points_naive(curve, p)
 
 
-# -- modular square roots ----------------------------------------------------
-
-
-def sqrt_mod(a: int, p: int, rng: random.Random) -> int | None:
-    """A square root of a mod p (odd prime), or None if a is a non-residue."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z = rng.randrange(2, p)
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
 # -- affine group law on y^2 = x^3 + Ax + B ----------------------------------
 # Points are (x, y) tuples; None is the point at infinity.
 
@@ -229,15 +199,6 @@ def _ec_mul(k: int, P, a: int, p: int):
         P = _ec_add(P, P, a, p)
         k >>= 1
     return R
-
-
-def _random_point(a: int, b: int, p: int, rng: random.Random):
-    while True:
-        x = rng.randrange(p)
-        rhs = (x * x % p * x + a * x + b) % p
-        y = sqrt_mod(rhs, p, rng)
-        if y is not None:
-            return x, y
 
 
 def _annihilators_in_window(P, a: int, p: int, lo: int, hi: int) -> set[int]:
@@ -283,25 +244,18 @@ def _annihilators_in_window(P, a: int, p: int, lo: int, hi: int) -> set[int]:
     return hits
 
 
-def _order_via_bsgs(a: int, b: int, p: int, rng: random.Random) -> int | None:
-    """Unique group order of y^2 = x^3 + ax + b over F_p, or None if ambiguous."""
-    root = math.isqrt(4 * p)
-    lo, hi = p + 1 - root - 1, p + 1 + root + 1
-    candidates: set[int] | None = None
-    for _ in range(24):  # random points before the caller falls back to the twist
-        P = _random_point(a, b, p, rng)
-        hits = _annihilators_in_window(P, a, p, lo, hi)
-        candidates = hits if candidates is None else candidates & hits
-        if candidates is not None and len(candidates) == 1:
-            return candidates.pop()
-        if not candidates:
-            raise AmbiguousOrder(f"no consistent order at p = {p}: implementation bug")
-    return None
-
-
 def ec_ap_bsgs(curve: CurveSpec, p: int) -> int:
     """a_p by baby-step giant-step group-order search; requires p > 229.
 
+    A try draws x with f = x^3 + Ax + B != 0 and takes P = (xf, f^2) on
+    y^2 = x^3 + Af^2 x + Bf^3, the twist of E by f, as the lockstep engine
+    does: no square root is needed.  That twist is E when chi(f) = 1 and
+    its quadratic twist E' when chi(f) = -1.  Every n in the Hasse window
+    with nP = O is a candidate for #E, mapped through #E = 2p + 2 - #E'
+    for a point on E' (the window is symmetric about p + 1, so it maps onto
+    itself).  The tries are intersected until one candidate is left: for
+    p > 229, E or E' has a point whose order has a single multiple in the
+    window (Mestre), so points drawn from both settle every prime.
     Randomness is seeded from (curve, p), so results and retry behaviour are
     reproducible in whichever process runs it.
     """
@@ -309,19 +263,24 @@ def ec_ap_bsgs(curve: CurveSpec, p: int) -> int:
         raise ValueError(f"BSGS needs p > {NAIVE_BSGS_CROSSOVER}; use the naive count")
     a, b = curve.short_model(p)  # raises BadReduction
     rng = random.Random(hash((curve.ainvs(), p)) & 0xFFFFFFFF)
-    order = _order_via_bsgs(a, b, p, rng)
-    if order is None:
-        # Quadratic twist fallback: #E + #E^d = 2p + 2 for chi(d) = -1.
-        d = 2
-        while pow(d, (p - 1) // 2, p) != p - 1:
-            d += 1
-        a_tw = a * d * d % p
-        b_tw = b * d * d % p * d % p
-        tw_order = _order_via_bsgs(a_tw, b_tw, p, rng)
-        if tw_order is None:
-            raise AmbiguousOrder(f"order search failed on curve and twist at p = {p}")
-        order = 2 * p + 2 - tw_order
-    return p + 1 - order
+    root = math.isqrt(4 * p)
+    lo, hi = p - root, p + 2 + root  # the Hasse window widened by one on each side
+    candidates: set[int] | None = None
+    for _ in range(48):  # points on E or E' before the search gives up
+        f = 0
+        while f == 0:
+            x = rng.randrange(p)
+            f = (x * x % p * x + a * x + b) % p
+        ff = f * f % p
+        hits = _annihilators_in_window((x * f % p, ff), a * ff % p, p, lo, hi)
+        if pow(f, (p - 1) // 2, p) != 1:
+            hits = {2 * p + 2 - n for n in hits}
+        candidates = hits if candidates is None else candidates & hits
+        if len(candidates) == 1:
+            return p + 1 - candidates.pop()
+        if not candidates:
+            raise AmbiguousOrder(f"no consistent order at p = {p}: implementation bug")
+    raise AmbiguousOrder(f"order search failed on curve and twist at p = {p}")
 
 
 def ec_ap(curve: CurveSpec, p: int) -> int:

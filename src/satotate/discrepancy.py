@@ -19,7 +19,7 @@ import numpy as np
 from satotate.angles import AngleSeries, angle_from_ap, curve_meta
 from satotate.curves import CurveSpec, _residues, ec_ap, ec_ap_array, lockstep_rows, split_map
 from satotate.errors import DegenerateFit, SatotateError, SearchExceeded
-from satotate.measure import Interval, cheb_u_rows, cheb_u_table, mu_st, st_cdf
+from satotate.measure import M_MAX, Interval, cheb_u_rows, cheb_u_table, mu_st, st_cdf
 from satotate.primes import PrimeRange, prime_count, prime_divisors, primes_in
 
 
@@ -395,6 +395,8 @@ def discrepancy_report(
     M: int = 50,
     c_et1: float = DEFAULT_ET_CONSTANT,
 ) -> DiscrepancyReport:
+    if M > M_MAX:  # checked before any column runs
+        raise ValueError(f"M must be <= {M_MAX}")
     pi_x = pi_of_x(series, x)
     count = count_in_interval(series, interval, x)
     expected = mu_st(interval) * pi_x
@@ -434,6 +436,8 @@ def joint_report(
     grid: int = 64,
     c_et2: float = DEFAULT_ET_CONSTANT,
 ) -> JointReport:
+    if M > M_MAX:  # checked before any column runs: _cheb2_bound holds two (M + 1) x n tables
+        raise ValueError(f"M must be <= {M_MAX}")
     pi_x = pi_of_x(series1, x)
     _, t1, t2 = series1.common_good(series2, x)  # shared by every column
     jc = _joint_count(t1, t2, i1, i2)

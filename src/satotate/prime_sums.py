@@ -163,22 +163,6 @@ class SmoothingWeight:
         return 0.5 - half_width, 1.0 + half_width
 
 
-def paper_proof_weight(x: float, m: int) -> SmoothingWeight:
-    """The proof-driven preset ell = 4 c m, eps = 8 ell x^(-1/(8 ell)), zero-density constant c = 1.
-
-    Valid only when eps lands in (0, 1/4), which requires x beyond
-    (32 ell)^(8 ell); at desk scale this raises, by design.
-    """
-    ell = max(1, 4 * m)
-    eps = 8.0 * ell * x ** (-1.0 / (8.0 * ell))
-    if not 0.0 < eps < 0.25:
-        raise ValueError(
-            f"paper-proof preset needs x > (32*ell)^(8*ell) ~ {float(32 * ell) ** (8 * ell):.3g}; "
-            f"got eps = {eps:.3g} at x = {x:.3g}"
-        )
-    return SmoothingWeight(x, ell, eps)
-
-
 @lru_cache(maxsize=128)
 def _irwin_hall_coeffs(ell: int) -> tuple[tuple[float, float], ...]:
     """((sign * C(ell,k) / ell!, k) for k = 0..ell); CDF pieces of sum of ell U[0,1]."""

@@ -311,11 +311,6 @@ def test_smooth_ell_above_14_exits_2(cache_11a1, capsys):
     assert out == "" and err == "error: ell must lie in [1, 14], got ell = 170\n"
 
 
-def test_smooth_preset_rejected_at_desk_scale(cache_11a1):
-    rc = main(["smooth", "--cache", str(cache_11a1), "--m", "1", "--x", "4000", "--preset", "paper-proof"])
-    assert rc == 2
-
-
 def test_fit_command(capsys):
     rc = main(["fit", "--xs", "10,100,1000", "--errors", "0.1,0.01,0.001"])
     assert rc == 0

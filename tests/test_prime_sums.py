@@ -13,7 +13,6 @@ from satotate.errors import RangeExceeded
 from satotate.prime_sums import (
     SmoothingWeight,
     cheb_prime_sum,
-    paper_proof_weight,
     partial_summation_residual,
     partial_summation_residual_joint,
     smoothed_psi,
@@ -311,18 +310,6 @@ def test_weight_phi_matches_exact_rationals_on_both_edges(ell):
 def test_smoothing_weight_rejects_ell_outside_1_to_14(ell):
     with pytest.raises(ValueError, match=rf"ell must lie in \[1, 14\], got ell = {ell}"):
         SmoothingWeight(10**6, ell, 0.1)
-
-
-def test_paper_proof_preset_raises_at_desk_scale():
-    with pytest.raises(ValueError):
-        paper_proof_weight(10**6, 1)
-
-
-def test_paper_proof_preset_valid_at_astronomical_x():
-    w = paper_proof_weight(1e80, 1)
-    assert w.ell == 4
-    assert 0.0 < w.eps < 0.25
-    assert w.eps == pytest.approx(8 * 4 * (1e80) ** (-1 / 32.0), rel=1e-12)
 
 
 # -- smoothed psi ------------------------------------------------------------------------

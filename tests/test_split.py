@@ -44,6 +44,11 @@ def verify_args(cache, out, *extra):
             "--out", str(out), *extra]
 
 
+def joint_args(cache, out, *extra):
+    return ["joint", "--cache1", str(cache), "--cache2", str(cache), "--interval1", "half", "--interval2", "middle",
+            "--x", "1000,1300000", "--out", str(out), *extra]
+
+
 def cheb_sums_args(cache, out, *extra):
     return ["cheb-sums", "--cache", str(cache), "--m-min", "0", "--m", "10", "--x", "1000,1300000",
             "--out", str(out), *extra]
@@ -173,6 +178,8 @@ def test_csv_bytes_do_not_depend_on_the_cpu_count(sim_cache, tmp_path, monkeypat
     [
         (verify_args, ("--M", "0"), "M must be >= 1"),
         (verify_args, ("--M", "2"), "M must be >= 3"),
+        (verify_args, ("--M", "513"), "M must be <= 512"),
+        (joint_args, ("--M", "513"), "M must be <= 512"),
         (verify_args, ("--x", "0"), "series has no points up to x"),
         (cheb_sums_args, ("--x", "2"), "x must be >= 3"),
         (cheb_sums_args, ("--m", "600"), "m must be <= 512"),
@@ -183,6 +190,14 @@ def test_errors_keep_their_text_and_exit_code(sim_cache, tmp_path, monkeypatch, 
     use_cpus(monkeypatch, cpus)
     assert main(command(sim_cache, tmp_path / "e.csv", *extra)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert active_children() == []
+
+
+@pytest.mark.parametrize("command", [verify_args, joint_args])
+def test_M_512_still_runs(sim_cache, tmp_path, command):
+    out = tmp_path / "m.csv"
+    assert main(command(sim_cache, out, "--x", "1000", "--M", "512")) == 0
+    assert out.read_text().count("\n") == 3  # the version line, the header and the row of x = 1000
     assert active_children() == []
 
 
