@@ -98,12 +98,6 @@ class AngleSeries:
         pos, found = _find(p2, p1)
         return p1[found], t1[found], t2[pos[found]]
 
-    def same_points(self, other: "AngleSeries") -> bool:
-        return bool(
-            np.array_equal(self.primes, other.primes)
-            and np.array_equal(self.thetas, other.thetas)
-        )
-
 
 def _libm_map(fn, x, *args) -> np.ndarray:
     """fn(element, *args) for each element of x, by the math module's libm call.

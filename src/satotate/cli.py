@@ -12,6 +12,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from satotate.discrepancy import (
     theoretical_bound_curve,
 )
 from satotate.errors import FormatError, SatotateError
-from satotate.measure import Interval, st_quantile
+from satotate.measure import Interval, check_m, st_quantile
 from satotate.primes import primes_array
 
 CSV_VERSION = "satotate-csv v1"
@@ -153,7 +154,7 @@ def cmd_verify(args) -> int:
     rows = []
     for x in parse_x_list(args.x):
         rep = discrepancy_report(series, interval, x, M=args.M, c_et1=args.c_et1)
-        row = rep.to_dict()
+        row = asdict(rep)
         row["st1_curve"] = theoretical_bound_curve(
             x, series.meta.weight_k, series.meta.level_q, "unconditional-st1", args.c_st1, pi_x=rep.pi_x
         )
@@ -172,7 +173,7 @@ def cmd_joint(args) -> int:
     i1 = parse_interval(args.interval1)
     i2 = parse_interval(args.interval2)
     rows = [
-        joint_report(s1, s2, i1, i2, x, M=args.M, grid=args.grid, c_et2=args.c_et2).to_dict()
+        asdict(joint_report(s1, s2, i1, i2, x, M=args.M, grid=args.grid, c_et2=args.c_et2))
         for x in parse_x_list(args.x)
     ]
     write_rows(rows, args.format, args.out, "joint")
@@ -199,6 +200,8 @@ def cmd_cheb_sums(args) -> int:
     m_min = args.m if args.m_min is None else args.m_min
     if m_min > args.m:
         raise UsageError(f"--m-min {m_min} exceeds --m {args.m}")
+    check_m(m_min)  # both ends, before the range of m is listed
+    check_m(args.m)
     series = load_cache(args.cache)
     rows = [
         {"m": m, "x": x, "sum_plain": plain, "sum_weighted": weighted, "partial_summation_residual": residual}

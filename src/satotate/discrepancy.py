@@ -10,7 +10,7 @@ value is never below 1/n).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
 
@@ -19,7 +19,7 @@ import numpy as np
 from satotate.angles import AngleSeries, angle_from_ap, curve_meta
 from satotate.curves import CurveSpec, _residues, ec_ap, ec_ap_array, lockstep_rows, split_map
 from satotate.errors import DegenerateFit, SatotateError, SearchExceeded
-from satotate.measure import M_MAX, Interval, cheb_u_rows, cheb_u_table, mu_st, st_cdf
+from satotate.measure import Interval, check_m, cheb_u_rows, cheb_u_table, mu_st, st_cdf
 from satotate.primes import PrimeRange, prime_count, prime_divisors, primes_in
 
 
@@ -154,8 +154,7 @@ def cheb_sum_bound_2d(
 
 
 def _cheb2_bound(t1: np.ndarray, t2: np.ndarray, M: int, c_et2: float, pi_x: int) -> float:
-    if M < 3:
-        raise ValueError("M must be >= 3")
+    check_m(M, 3, "M")  # M <= M_MAX: it holds two (M + 1) x n tables
     check_constant("c_et2", c_et2)
     u1 = cheb_u_table(M, t1)
     u2 = cheb_u_table(M, t2)
@@ -182,10 +181,19 @@ def joint_box_discrepancy(
 # elements per block of the box sweep: 8 MB per float64 temporary
 _BOX_BLOCK = 1 << 20
 
+# the sweep visits about grid^4 / 4 boxes: 10 s at 256 on a 2-core host
+GRID_MAX = 256
 
-def _box_discrepancy(t1: np.ndarray, t2: np.ndarray, grid: int) -> float:
+
+def _check_grid(grid: int) -> None:
     if grid < 2:
         raise ValueError("grid must be >= 2")
+    if grid > GRID_MAX:
+        raise ValueError(f"grid must be <= {GRID_MAX}")
+
+
+def _box_discrepancy(t1: np.ndarray, t2: np.ndarray, grid: int) -> float:
+    _check_grid(grid)
     n = t1.size
     if n == 0:
         return 0.0
@@ -348,6 +356,8 @@ def fit_decay_exponent(xs, errors) -> tuple[float, float]:
         raise DegenerateFit("need at least 3 samples")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(errors))):
         raise DegenerateFit("xs and errors must be finite")
+    if np.any(xs <= 0):
+        raise DegenerateFit("xs must be positive")
     if np.any(errors <= 0):
         raise DegenerateFit("errors must be positive")
     if np.any(np.diff(xs) <= 0):
@@ -370,9 +380,6 @@ class DiscrepancyReport:
     et_bound: float
     cheb_bound: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class JointReport:
@@ -384,9 +391,6 @@ class JointReport:
     box_discrepancy_grid: float
     cheb2_bound: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def discrepancy_report(
     series: AngleSeries,
@@ -395,8 +399,7 @@ def discrepancy_report(
     M: int = 50,
     c_et1: float = DEFAULT_ET_CONSTANT,
 ) -> DiscrepancyReport:
-    if M > M_MAX:  # checked before any column runs
-        raise ValueError(f"M must be <= {M_MAX}")
+    check_m(M, 1, "M")  # before any column runs; M = 1 or 2 fails in cheb_sum_bound's column
     pi_x = pi_of_x(series, x)
     count = count_in_interval(series, interval, x)
     expected = mu_st(interval) * pi_x
@@ -436,8 +439,8 @@ def joint_report(
     grid: int = 64,
     c_et2: float = DEFAULT_ET_CONSTANT,
 ) -> JointReport:
-    if M > M_MAX:  # checked before any column runs: _cheb2_bound holds two (M + 1) x n tables
-        raise ValueError(f"M must be <= {M_MAX}")
+    check_m(M, 3, "M")  # before any column runs
+    _check_grid(grid)
     pi_x = pi_of_x(series1, x)
     _, t1, t2 = series1.common_good(series2, x)  # shared by every column
     jc = _joint_count(t1, t2, i1, i2)

@@ -37,9 +37,6 @@ class Interval:
         return (theta >= self.alpha) & (theta <= self.beta)
 
 
-FULL_INTERVAL = Interval(0.0, math.pi)
-
-
 def mu_st(interval: Interval) -> float:
     """Sato-Tate mass of a closed interval, by the closed-form antiderivative."""
     a, b = interval.alpha, interval.beta
@@ -95,6 +92,14 @@ def st_quantile(u):
     return float(out[0]) if u.ndim == 0 else out.reshape(u.shape)
 
 
+def check_m(m: int, least: int = 0, name: str = "m") -> None:
+    """Raise ValueError unless least <= m <= M_MAX: the one range check of a Chebyshev index or order."""
+    if m < least:
+        raise ValueError(f"{name} must be >= {least}")
+    if m > M_MAX:
+        raise ValueError(f"{name} must be <= {M_MAX}")
+
+
 class ChebU:
     """U_m(cos theta) for one theta array and any m, sharing the per-theta work.
 
@@ -115,10 +120,7 @@ class ChebU:
         self._edge = theta[self._near_edge]
 
     def __call__(self, m: int) -> np.ndarray:
-        if m < 0:
-            raise ValueError("m must be >= 0")
-        if m > M_MAX:
-            raise ValueError(f"m must be <= {M_MAX}")
+        check_m(m)
         if m == 0:
             return np.ones(self._shape)
         inner = np.sin((m + 1) * self._t) / self._sin_t

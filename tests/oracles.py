@@ -51,6 +51,11 @@ def synthetic_series(n: int, seed: int, level: int = 1) -> AngleSeries:
     return AngleSeries(meta, int(ps[-1]), ps, thetas)
 
 
+def same_points(a: AngleSeries, b: AngleSeries) -> bool:
+    """True when the two series hold the same (p, theta_p) points, bit for bit."""
+    return np.array_equal(a.primes, b.primes) and np.array_equal(a.thetas, b.thetas)
+
+
 def st_quantile_scalar(u: float) -> float:
     """The scalar safeguarded Newton that the array st_quantile must match bit for bit.
 

@@ -12,6 +12,8 @@ import satotate.cli
 from satotate.cli import main, parse_interval
 from satotate.primes import prime_count
 
+from oracles import same_points
+
 
 def run_cli(args, env=None):
     """Run the CLI in-process; returns (exit_code, capsys-free)."""
@@ -105,7 +107,7 @@ def test_angles_coeff_source_equal(tmp_path, cache_11a1):
     out = tmp_path / "from_file.stan"
     rc = main(["angles", "--coeffs", str(coeffs), "--xmax", "5000", "--out", str(out)])
     assert rc == 0
-    assert load_cache(out).same_points(series)
+    assert same_points(load_cache(out), series)
 
 
 def test_verify_csv_and_json_equal(cache_11a1, tmp_path):

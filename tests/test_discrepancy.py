@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from satotate.discrepancy import (
     count_in_interval,
     erdos_turan_bound,
     exact_discrepancy_1d,
+    GRID_MAX,
     fit_decay_exponent,
     grh_least_prime_ceiling,
     joint_box_discrepancy,
@@ -30,7 +32,11 @@ from satotate.errors import DegenerateFit, RangeExceeded, SearchExceeded
 from satotate.measure import Interval, cheb_u, mu_st, st_cdf, st_quantile
 from satotate.primes import prime_divisors, primes_array
 
-from oracles import brute_force_interval_discrepancy, synthetic_series
+from oracles import (
+    brute_force_interval_discrepancy,
+    cheb_sum_bound_2d_intersect1d,
+    synthetic_series,
+)
 
 HALF = Interval(0.0, math.pi / 2)
 MIDDLE = Interval(math.pi / 4, 3 * math.pi / 4)
@@ -296,6 +302,25 @@ def test_box_discrepancy_empty():
     assert joint_box_discrepancy(s1, s2, 2, grid=8) == 0.0
 
 
+def test_box_grid_above_grid_max_raises_before_the_sweep():
+    s1, s2 = synthetic_series(500, 1), synthetic_series(500, 2)
+    x = int(s1.primes[-1])
+    for grid in (GRID_MAX + 1, 10**12):
+        with pytest.raises(ValueError, match=f"^grid must be <= {GRID_MAX}$"):
+            joint_box_discrepancy(s1, s2, x, grid=grid)
+        with pytest.raises(ValueError, match=f"^grid must be <= {GRID_MAX}$"):
+            joint_report(s1, s2, HALF, HALF, x, grid=grid)
+
+
+def test_cheb_bound_2d_takes_M_up_to_M_MAX():
+    s1, s2 = synthetic_series(300, 1), synthetic_series(300, 2)
+    x = int(s1.primes[-1])
+    assert cheb_sum_bound_2d(s1, s2, x, 512) == cheb_sum_bound_2d_intersect1d(s1, s2, x, 512)
+    for M in (513, 600, 10**12):
+        with pytest.raises(ValueError, match="^M must be <= 512$"):
+            cheb_sum_bound_2d(s1, s2, x, M)
+
+
 # -- least prime -----------------------------------------------------------------------
 
 
@@ -434,6 +459,12 @@ def test_fit_degenerate():
             fit_decay_exponent(xs, errors)
 
 
+def test_fit_rejects_non_positive_x():
+    # log(x) of such an x is -inf or nan, which the least-squares solver fails on
+    with pytest.raises(DegenerateFit, match="^xs must be positive$"):
+        fit_decay_exponent([-1.0, 0.0, 1.0], [0.1, 0.2, 0.3])
+
+
 @pytest.mark.parametrize("c", [math.nan, math.inf, -1.0, 0.0])
 def test_library_constants_must_be_finite_and_positive(series_11a1_small, series_37a1_small, c):
     s1, s2 = series_11a1_small, series_37a1_small
@@ -451,7 +482,7 @@ def test_library_constants_must_be_finite_and_positive(series_11a1_small, series
 
 def test_joint_report_fields(series_11a1_small, series_37a1_small):
     rep = joint_report(series_11a1_small, series_37a1_small, HALF, HALF, 10_000)
-    d = rep.to_dict()
+    d = asdict(rep)
     assert set(d) == {
         "x",
         "pi_x",

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from satotate.measure import (
-    FULL_INTERVAL,
     Interval,
     cheb_inner_product,
     cheb_u,
@@ -28,7 +27,7 @@ def mu_st_quadrature(interval: Interval) -> float:
 
 
 def test_mu_st_closed_form_values():
-    assert mu_st(FULL_INTERVAL) == pytest.approx(1.0, abs=1e-15)
+    assert mu_st(Interval(0.0, math.pi)) == pytest.approx(1.0, abs=1e-15)
     assert mu_st(Interval(0.0, math.pi / 2)) == pytest.approx(0.5, abs=1e-15)
     # value recomputed with the quadrature oracle: 1/3 + sqrt(3)/(2 pi)
     third = Interval(math.pi / 3, 2 * math.pi / 3)
@@ -71,7 +70,7 @@ def test_interval_contains_both_ends():
     assert iv.contains(thetas).tolist() == [False, False, True, True, True, False, False]
     point = Interval(1.0, 1.0)  # degenerate: holds its one point
     assert point.contains(1.0) and point.contains(np.array([1.0])).tolist() == [True]
-    assert FULL_INTERVAL.contains(np.array([0.0, math.pi])).all()
+    assert Interval(0.0, math.pi).contains(np.array([0.0, math.pi])).all()
 
 
 def test_cheb_u_values():
