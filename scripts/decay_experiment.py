@@ -29,7 +29,7 @@ from satotate.discrepancy import (
     pi_of_x,
     theoretical_bound_curve,
 )
-from satotate.measure import mu_st
+from satotate.measure import mu_st, st_cdf
 
 
 def main() -> int:
@@ -74,7 +74,7 @@ def main() -> int:
         print(
             f"{x:>9} {count:>8} {err:>12.6f} "
             f"{exact_discrepancy_1d(series, x):>12.6f} "
-            f"{erdos_turan_bound(series, x, args.M):>10.5f} "
+            f"{erdos_turan_bound(st_cdf(series.upto(x)[1]), args.M):>10.5f} "
             f"{theoretical_bound_curve(x, k, q, 'unconditional-st1', pi_x=pi_x):>11.1f} "
             f"{theoretical_bound_curve(x, k, q, 'grh-thm13'):>11.1f}"
         )

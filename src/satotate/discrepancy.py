@@ -35,16 +35,9 @@ def count_in_interval(series: AngleSeries, interval: Interval, x: int) -> int:
     return int(np.count_nonzero(interval.contains(thetas)))
 
 
-def _joint_count(t1: np.ndarray, t2: np.ndarray, i1: Interval, i2: Interval) -> int:
+def joint_count(t1: np.ndarray, t2: np.ndarray, i1: Interval, i2: Interval) -> int:
+    """Joint count per the product indicator; t1, t2 are common_good's paired angles."""
     return int(np.count_nonzero(i1.contains(t1) & i2.contains(t2)))
-
-
-def joint_count(
-    series1: AngleSeries, series2: AngleSeries, i1: Interval, i2: Interval, x: int
-) -> int:
-    """Joint count over primes good for both forms, per the product indicator."""
-    _, t1, t2 = series1.common_good(series2, x)
-    return _joint_count(t1, t2, i1, i2)
 
 
 # -- exact interval discrepancy -------------------------------------------------
@@ -76,7 +69,12 @@ def exact_discrepancy_1d(series: AngleSeries, x: int) -> float:
     return uniform_interval_discrepancy(st_cdf(thetas))
 
 
-def _erdos_turan(u: np.ndarray, M: int) -> float:
+def erdos_turan_bound(u: np.ndarray, M: int) -> float:
+    """One-dimensional Erdos-Turan bound for the CDF-transformed angles u = st_cdf(thetas).
+
+    1/(M+1) + (3/n) sum_{m<=M} |S_m|/m with S_m = sum_p e(m u_p); dominates
+    the exact all-interval discrepancy for every point set and every M >= 1.
+    """
     if M < 1:
         raise ValueError("M must be >= 1")
     n = u.size
@@ -91,16 +89,6 @@ def _erdos_turan(u: np.ndarray, M: int) -> float:
         cur = cur * base
         total += abs(cur.sum()) / m
     return 1.0 / (M + 1) + (3.0 / n) * total
-
-
-def erdos_turan_bound(series: AngleSeries, x: int, M: int) -> float:
-    """One-dimensional Erdos-Turan bound for the CDF-transformed angles.
-
-    1/(M+1) + (3/n) sum_{m<=M} |S_m|/m with S_m = sum_p e(m u_p); dominates
-    the exact all-interval discrepancy for every point set and every M >= 1.
-    """
-    _, thetas = series.upto(x)
-    return _erdos_turan(st_cdf(thetas), M)
 
 
 # -- Chebyshev-sum bound shapes ---------------------------------------------------
@@ -137,23 +125,14 @@ def cheb_sum_bound(
 
 
 def cheb_sum_bound_2d(
-    series1: AngleSeries,
-    series2: AngleSeries,
-    x: int,
-    M: int,
-    c_et2: float = DEFAULT_ET_CONSTANT,
+    t1: np.ndarray, t2: np.ndarray, M: int, pi_x: int, c_et2: float = DEFAULT_ET_CONSTANT
 ) -> float:
     """Joint bound shape over pairs 0 <= m1, m2 <= M, (m1, m2) != (0, 0).
 
     c * (pi(x)/M + sum |sum_p U_{m1} U_{m2}| / ((m1+1)(m2+1))), the pair sum
-    taken over primes good for both forms; marginal pairs (m, 0) and (0, m)
-    are included, so M = 3 expands to 15 terms.
+    taken over common_good's paired angles t1, t2; marginal pairs (m, 0) and
+    (0, m) are included, so M = 3 expands to 15 terms.
     """
-    _, t1, t2 = series1.common_good(series2, x)
-    return _cheb2_bound(t1, t2, M, c_et2, pi_of_x(series1, x))
-
-
-def _cheb2_bound(t1: np.ndarray, t2: np.ndarray, M: int, c_et2: float, pi_x: int) -> float:
     check_m(M, 3, "M")  # M <= M_MAX: it holds two (M + 1) x n tables
     check_constant("c_et2", c_et2)
     u1 = cheb_u_table(M, t1)
@@ -162,20 +141,6 @@ def _cheb2_bound(t1: np.ndarray, t2: np.ndarray, M: int, c_et2: float, pi_x: int
     weights = 1.0 / np.outer(np.arange(1, M + 2), np.arange(1, M + 2))
     total = float(np.sum(cross * weights) - cross[0, 0] * weights[0, 0])
     return float(c_et2 * (pi_x / M + total))
-
-
-def joint_box_discrepancy(
-    series1: AngleSeries, series2: AngleSeries, x: int, grid: int = 64
-) -> float:
-    """Sup over boxes with corners on a (grid+1)^2 lattice of |empirical - area|.
-
-    Coordinates are CDF-transformed, so the product measure of a box is its
-    area.  Boxes are [i1/G, i2/G) x [j1/G, j2/G) via binned prefix sums; the
-    restriction to lattice corners under-resolves the true sup by at most
-    2 * (2/G) by continuity of the uniform measure.
-    """
-    _, t1, t2 = series1.common_good(series2, x)
-    return _box_discrepancy(t1, t2, grid)
 
 
 # elements per block of the box sweep: 8 MB per float64 temporary
@@ -192,7 +157,15 @@ def _check_grid(grid: int) -> None:
         raise ValueError(f"grid must be <= {GRID_MAX}")
 
 
-def _box_discrepancy(t1: np.ndarray, t2: np.ndarray, grid: int) -> float:
+def joint_box_discrepancy(t1: np.ndarray, t2: np.ndarray, grid: int = 64) -> float:
+    """Sup over boxes with corners on a (grid+1)^2 lattice of |empirical - area|.
+
+    t1, t2 are common_good's paired angles.  Coordinates are CDF-transformed,
+    so the product measure of a box is its area.  Boxes are
+    [i1/G, i2/G) x [j1/G, j2/G) via binned prefix sums; the restriction to
+    lattice corners under-resolves the true sup by at most 2 * (2/G) by
+    continuity of the uniform measure.
+    """
     _check_grid(grid)
     n = t1.size
     if n == 0:
@@ -412,7 +385,7 @@ def discrepancy_report(
         lambda column: column(),
         (
             lambda: uniform_interval_discrepancy(u),
-            lambda: _erdos_turan(u, M),
+            lambda: erdos_turan_bound(u, M),
             lambda: cheb_sum_bound(series, x, M, c_et1),
         ),
         cap=2,
@@ -443,7 +416,7 @@ def joint_report(
     _check_grid(grid)
     pi_x = pi_of_x(series1, x)
     _, t1, t2 = series1.common_good(series2, x)  # shared by every column
-    jc = _joint_count(t1, t2, i1, i2)
+    jc = joint_count(t1, t2, i1, i2)
     expected = mu_st(i1) * mu_st(i2) * pi_x
     return JointReport(
         x=x,
@@ -451,6 +424,6 @@ def joint_report(
         joint_count=jc,
         expected=expected,
         error_abs=abs(jc - expected),
-        box_discrepancy_grid=_box_discrepancy(t1, t2, grid),
-        cheb2_bound=_cheb2_bound(t1, t2, M, c_et2, pi_x),
+        box_discrepancy_grid=joint_box_discrepancy(t1, t2, grid),
+        cheb2_bound=cheb_sum_bound_2d(t1, t2, M, pi_x, c_et2),
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -148,6 +149,9 @@ class SmoothingWeight:
             raise ValueError(f"ell must lie in [1, {_MAX_ELL}], got ell = {self.ell}")
         if not 0.0 < self.eps < 0.25:
             raise ValueError("eps must lie in (0, 1/4)")
+        if 2.0 * self.A < sys.float_info.min:
+            # weight_phi divides by the edge width 2A, which must stay a normal float
+            raise ValueError(f"eps = {self.eps!r} is too small: the edge width eps / (ell log x) underflows")
 
     @property
     def log_x(self) -> float:

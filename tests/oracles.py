@@ -116,7 +116,7 @@ def cheb_sum_bound_table(series: AngleSeries, x: int, M: int, c_et1: float = 4.0
 
 
 def cheb_sum_bound_2d_intersect1d(series1, series2, x: int, M: int, c_et2: float = 4.0) -> float:
-    """cheb_sum_bound_2d on the intersect1d join."""
+    """cheb_sum_bound_2d of the intersect1d join of two series up to x, with pi(x) from series1."""
     if M < 3:
         raise ValueError("M must be >= 3")
     _, t1, t2 = common_good_intersect1d(series1, series2, x)
@@ -129,6 +129,7 @@ def cheb_sum_bound_2d_intersect1d(series1, series2, x: int, M: int, c_et2: float
 
 
 def joint_count_intersect1d(series1, series2, i1, i2, x: int) -> int:
+    """joint_count of the intersect1d join of two series up to x, by explicit comparisons."""
     _, t1, t2 = common_good_intersect1d(series1, series2, x)
     in1 = (t1 >= i1.alpha) & (t1 <= i1.beta)
     in2 = (t2 >= i2.alpha) & (t2 <= i2.beta)
@@ -136,7 +137,7 @@ def joint_count_intersect1d(series1, series2, i1, i2, x: int) -> int:
 
 
 def joint_box_discrepancy_loop(series1, series2, x: int, grid: int = 64) -> float:
-    """joint_box_discrepancy by the double loop over (i1, i2)."""
+    """joint_box_discrepancy of the intersect1d join of two series up to x, by the double loop over (i1, i2)."""
     if grid < 2:
         raise ValueError("grid must be >= 2")
     _, t1, t2 = common_good_intersect1d(series1, series2, x)
@@ -163,7 +164,7 @@ def joint_box_discrepancy_loop(series1, series2, x: int, grid: int = 64) -> floa
 
 
 def erdos_turan_bound_copying(series: AngleSeries, x: int, M: int) -> float:
-    """erdos_turan_bound with a fresh array per power (cur = cur * base)."""
+    """erdos_turan_bound of st_cdf of the series' angles up to x, with a fresh array per power (cur = cur * base)."""
     if M < 1:
         raise ValueError("M must be >= 1")
     _, thetas = series.upto(x)

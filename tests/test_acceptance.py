@@ -145,12 +145,12 @@ def test_criterion_06_erdos_turan_domination(series_11a1_big, series_37a1_big):
         s = synthetic_series(n, int(rng.integers(2**31)))
         x = int(s.primes[-1])
         M = int(rng.integers(1, 101))
-        if erdos_turan_bound(s, x, M) < exact_discrepancy_1d(s, x):
+        if erdos_turan_bound(st_cdf(s.upto(x)[1]), M) < exact_discrepancy_1d(s, x):
             violations += 1
     for series in (series_11a1_big, series_37a1_big):
         for x in (10**4, 10**5, 10**6):
             for M in (10, 50):
-                if erdos_turan_bound(series, x, M) < exact_discrepancy_1d(series, x):
+                if erdos_turan_bound(st_cdf(series.upto(x)[1]), M) < exact_discrepancy_1d(series, x):
                     violations += 1
     report(6, "ET bound dominates exact discrepancy on 100 seeded sets and real series",
            violations == 0, f"violations={violations}")
@@ -182,8 +182,8 @@ def test_criterion_08_joint_independence(series_11a1_big, series_37a1_big):
     x = 10**6
     pi_x = pi_of_x(series_11a1_big, x)
     target = mu_st(half) ** 2
-    dev = abs(joint_count(series_11a1_big, series_37a1_big, half, half, x) / pi_x - target)
-    dep_dev = abs(joint_count(series_11a1_big, series_11a1_big, half, half, x) / pi_x - target)
+    dev = abs(joint_count(*series_11a1_big.common_good(series_37a1_big, x)[1:], half, half) / pi_x - target)
+    dep_dev = abs(joint_count(*series_11a1_big.common_good(series_11a1_big, x)[1:], half, half) / pi_x - target)
     report(
         8,
         "11a1 x 37a1 joint deviation <= 0.05 at 1e6; dependent control exceeds 0.1",

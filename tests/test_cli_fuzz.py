@@ -1,6 +1,8 @@
 """Fuzz the CLI's numeric options: every command line exits 0, 2 or 3, never with a traceback.
 
-The commands run in-process on two synthetic caches to x_max = 20000.
+The commands run in-process on two synthetic caches to x_max = 20000;
+``angles --curve`` and ``simulate`` write their own caches, to an x_max of
+at most 20000, under a temporary folder.
 Options are passed as ``--opt=value``, so a negative value reaches the
 option's parser instead of being read as another option.  Sizes are
 bounded so that a valid draw stays cheap: x at most 10 x_max, and a box
@@ -12,10 +14,11 @@ import io
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satotate.cli import main
+from satotate.curves import NAMED_CURVES
 from satotate.discrepancy import GRID_MAX
 
 X_MAX = 20_000
@@ -60,6 +63,20 @@ def x_lists(max_size: int):
     return mostly(ascending.map(joined), anyhow.map(joined))
 
 
+# angles --curve: a battery model with its conductor, else any coefficient text and conductor
+BATTERY = [(f"{c.a1},{c.a2},{c.a3},{c.a4},{c.a6}", str(c.conductor)) for c in NAMED_CURVES.values()]
+BAD_COEFFS = st.one_of(
+    st.lists(st.integers(-(10**30), 10**30) | st.sampled_from([10**30, -(10**30)]), min_size=5, max_size=5).map(joined),
+    st.lists(st.integers(-20, 20), max_size=4).map(joined),
+    st.sampled_from(["0,-1,1,-10,-20.5", "a,b,c,d,e", "0,0,0,0,0", "", "1e3,0,0,0,1"]),
+)
+BAD_CONDUCTORS = st.one_of(st.integers(-5, 2), st.sampled_from([-(2**64), 2**64, 2**64 + 1, 10**30]))
+MODELS = st.integers(0, 4).flatmap(
+    lambda k: st.tuples(BAD_COEFFS, BAD_CONDUCTORS.map(str)) if k == 4 else st.sampled_from(BATTERY)
+)
+# x_max within [2, X_MAX], or <= 1, or not an integer; never above X_MAX
+X_MAXES = mostly(st.integers(2, X_MAX), st.integers(-(2**64), 1) | st.sampled_from(["1e4", "2.5", "", "x"]))
+
 # fit's (xs, errors): as many ascending positive xs as positive errors, or any two float lists
 FIT_SAMPLES = st.integers(3, 6).flatmap(
     lambda n: st.tuples(
@@ -98,6 +115,24 @@ def check(argv: list[str]) -> None:
     assert "Traceback" not in err, (argv, err)
 
 
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz-out")
+
+
+@settings(max_examples=25, deadline=None)
+@given(model=MODELS, xmax=X_MAXES)
+def test_angles_fuzz(out_dir, model, xmax):
+    coeffs, conductor = model
+    check(["angles", f"--curve={coeffs}", f"--conductor={conductor}", f"--xmax={xmax}", f"--out={out_dir / 'a.stan'}"])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=mostly(st.integers(0, 2**32), st.integers(-(2**64), -1) | st.integers(2**64, 2**200)), xmax=X_MAXES)
+def test_simulate_fuzz(out_dir, seed, xmax):
+    check(["simulate", f"--seed={seed}", f"--xmax={xmax}", f"--out={out_dir / 's.stan'}"])
+
+
 @settings(max_examples=30, deadline=None)
 @given(M=ORDERS, xs=x_lists(4), option=st.sampled_from(["--c-et1", "--c-st1", "--c-grh"]), c=CONSTANTS)
 def test_verify_fuzz(caches, M, xs, option, c):
@@ -122,6 +157,7 @@ def test_cheb_sums_fuzz(caches, m, m_min, xs):
     check(argv if m_min is None else argv + [f"--m-min={m_min}"])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy float warning fails the draw
 @settings(max_examples=25, deadline=None)
 @given(
     m=INDICES,
@@ -129,6 +165,8 @@ def test_cheb_sums_fuzz(caches, m, m_min, xs):
     ell=mostly(st.integers(1, 14), BAD_INDICES),
     eps=mostly(st.floats(1e-3, 0.249), BAD_FLOATS),
 )
+@example(m="1", x="10000", ell="4", eps="5e-324")  # subnormal eps: the weight's edge width underflows
+@example(m="1", x="10000", ell="4", eps="1e-310")
 def test_smooth_fuzz(caches, m, x, ell, eps):
     check(["smooth", f"--cache={caches[0]}", f"--m={m}", f"--x={x}", f"--ell={ell}", f"--eps={eps}"])
 
@@ -157,3 +195,9 @@ def test_joint_grid_above_grid_max_exits_2_at_once(caches, grid):
     )
     assert (code, err) == (2, f"error: grid must be <= {GRID_MAX}\n")
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("eps", ["5e-324", "1e-310"])
+def test_smooth_subnormal_eps_exits_2(caches, eps):
+    code, err = run(["smooth", f"--cache={caches[0]}", "--m=1", "--x=10000", f"--eps={eps}"])
+    assert (code, err) == (2, f"error: eps = {eps} is too small: the edge width eps / (ell log x) underflows\n")

@@ -96,13 +96,13 @@ def test_count_complement(series_11a1_small):
 def test_joint_count_full_is_common_good(series_11a1_small, series_37a1_small):
     x = 10_000
     full = Interval(0.0, math.pi)
-    jc = joint_count(series_11a1_small, series_37a1_small, full, full, x)
+    jc = joint_count(*series_11a1_small.common_good(series_37a1_small, x)[1:], full, full)
     assert jc == pi_of_x(series_11a1_small, x) - 2  # drop p=11 and p=37
 
 
 def test_joint_count_brute_force(series_11a1_small, series_37a1_small):
     x = 100
-    jc = joint_count(series_11a1_small, series_37a1_small, HALF, HALF, x)
+    jc = joint_count(*series_11a1_small.common_good(series_37a1_small, x)[1:], HALF, HALF)
     # direct double-indicator loop
     t11 = {int(p): t for p, t in zip(*series_11a1_small.upto(x))}
     t37 = {int(p): t for p, t in zip(*series_37a1_small.upto(x))}
@@ -119,7 +119,7 @@ def test_joint_count_brute_force(series_11a1_small, series_37a1_small):
 def test_joint_marginal_reduction(series_11a1_small, series_37a1_small):
     x = 10_000
     full = Interval(0.0, math.pi)
-    jc = joint_count(series_11a1_small, series_37a1_small, HALF, full, x)
+    jc = joint_count(*series_11a1_small.common_good(series_37a1_small, x)[1:], HALF, full)
     p37 = set(series_37a1_small.upto(x)[0].tolist())
     ps, ts = series_11a1_small.upto(x)
     manual = sum(
@@ -175,7 +175,7 @@ def test_exact_discrepancy_empty_series():
 
 def test_et_single_point():
     s = toy_series([2], [st_quantile(0.37)])
-    bound = erdos_turan_bound(s, 2, 1)
+    bound = erdos_turan_bound(st_cdf(s.upto(2)[1]), 1)
     assert bound == pytest.approx(0.5 + 3.0, abs=1e-12)
     assert bound >= exact_discrepancy_1d(s, 2)
 
@@ -185,7 +185,7 @@ def test_et_equidistributed_grid():
     u = np.arange(1, n + 1) / n
     thetas = np.array([st_quantile(float(v)) for v in u])
     s = toy_series(primes_array(2, 10**4)[:n], thetas)
-    bound = erdos_turan_bound(s, int(s.primes[-1]), n - 1)
+    bound = erdos_turan_bound(st_cdf(s.upto(int(s.primes[-1]))[1]), n - 1)
     exact = exact_discrepancy_1d(s, int(s.primes[-1]))
     assert bound >= exact
     assert bound <= 10 * math.log(n) / n + 1.0 / n  # O(log n / n) scale
@@ -198,13 +198,13 @@ def test_et_domination_seeded_sets():
         s = synthetic_series(min(n, 5000), int(rng.integers(2**31)))
         x = int(s.primes[-1])
         for M in (1, 10, 50):
-            assert erdos_turan_bound(s, x, M) >= exact_discrepancy_1d(s, x), (trial, M)
+            assert erdos_turan_bound(st_cdf(s.upto(x)[1]), M) >= exact_discrepancy_1d(s, x), (trial, M)
 
 
 def test_et_domination_real_series(series_11a1_small):
     x = 10_000
     for M in (5, 50, 200):
-        assert erdos_turan_bound(series_11a1_small, x, M) >= exact_discrepancy_1d(
+        assert erdos_turan_bound(st_cdf(series_11a1_small.upto(x)[1]), M) >= exact_discrepancy_1d(
             series_11a1_small, x
         )
 
@@ -216,8 +216,8 @@ def test_et_incremental_update_consistency(series_11a1_small):
     u = st_cdf(thetas)
     n = u.size
     for M in (3, 17, 64):
-        b_m = erdos_turan_bound(series_11a1_small, x, M)
-        b_next = erdos_turan_bound(series_11a1_small, x, M + 1)
+        b_m = erdos_turan_bound(u, M)
+        b_next = erdos_turan_bound(u, M + 1)
         s_new = abs(np.exp(2j * math.pi * (M + 1) * u).sum())
         manual = b_m - 1.0 / (M + 1) + 1.0 / (M + 2) + (3.0 / n) * s_new / (M + 1)
         assert b_next == pytest.approx(manual, abs=1e-12)
@@ -252,7 +252,7 @@ def test_cheb_bound_2d_hand_expansion():
     s2 = toy_series([2, 3, 5], [2.8, 0.9, 1.7])
     M = 3
     c = 2.5
-    got = cheb_sum_bound_2d(s1, s2, 5, M, c_et2=c)
+    got = cheb_sum_bound_2d(*s1.common_good(s2, 5)[1:], M, pi_of_x(s1, 5), c_et2=c)
     total = 0.0
     terms = 0
     for m1 in range(M + 1):
@@ -270,7 +270,9 @@ def test_cheb_bound_2d_hand_expansion():
 
 
 def test_cheb_bound_2d_real(series_11a1_small, series_37a1_small):
-    val = cheb_sum_bound_2d(series_11a1_small, series_37a1_small, 10_000, 10)
+    val = cheb_sum_bound_2d(
+        *series_11a1_small.common_good(series_37a1_small, 10_000)[1:], 10, pi_of_x(series_11a1_small, 10_000)
+    )
     assert np.isfinite(val) and val > 0
 
 
@@ -285,13 +287,13 @@ def test_box_discrepancy_independent_pairs():
     t2 = st_quantile(rng.uniform(0, 1, n))
     s1 = toy_series(ps, t1)
     s2 = toy_series(ps, t2)
-    val = joint_box_discrepancy(s1, s2, int(ps[-1]), grid=64)
+    val = joint_box_discrepancy(*s1.common_good(s2, int(ps[-1]))[1:], grid=64)
     assert val <= 0.05
 
 
 def test_box_discrepancy_dependent_control():
     s = synthetic_series(2000, 31)
-    val = joint_box_discrepancy(s, s, int(s.primes[-1]), grid=64)
+    val = joint_box_discrepancy(*s.common_good(s, int(s.primes[-1]))[1:], grid=64)
     assert val >= 0.2
 
 
@@ -299,7 +301,7 @@ def test_box_discrepancy_empty():
     s1 = toy_series([2], [1.0], level=2)
     s2 = toy_series([3], [1.0], level=3)
     # no common good prime <= 3: series1 good primes exclude 2, series2 exclude 3
-    assert joint_box_discrepancy(s1, s2, 2, grid=8) == 0.0
+    assert joint_box_discrepancy(*s1.common_good(s2, 2)[1:], grid=8) == 0.0
 
 
 def test_box_grid_above_grid_max_raises_before_the_sweep():
@@ -307,7 +309,7 @@ def test_box_grid_above_grid_max_raises_before_the_sweep():
     x = int(s1.primes[-1])
     for grid in (GRID_MAX + 1, 10**12):
         with pytest.raises(ValueError, match=f"^grid must be <= {GRID_MAX}$"):
-            joint_box_discrepancy(s1, s2, x, grid=grid)
+            joint_box_discrepancy(*s1.common_good(s2, x)[1:], grid=grid)
         with pytest.raises(ValueError, match=f"^grid must be <= {GRID_MAX}$"):
             joint_report(s1, s2, HALF, HALF, x, grid=grid)
 
@@ -315,10 +317,11 @@ def test_box_grid_above_grid_max_raises_before_the_sweep():
 def test_cheb_bound_2d_takes_M_up_to_M_MAX():
     s1, s2 = synthetic_series(300, 1), synthetic_series(300, 2)
     x = int(s1.primes[-1])
-    assert cheb_sum_bound_2d(s1, s2, x, 512) == cheb_sum_bound_2d_intersect1d(s1, s2, x, 512)
+    t1, t2, pi_x = *s1.common_good(s2, x)[1:], pi_of_x(s1, x)
+    assert cheb_sum_bound_2d(t1, t2, 512, pi_x) == cheb_sum_bound_2d_intersect1d(s1, s2, x, 512)
     for M in (513, 600, 10**12):
         with pytest.raises(ValueError, match="^M must be <= 512$"):
-            cheb_sum_bound_2d(s1, s2, x, M)
+            cheb_sum_bound_2d(t1, t2, M, pi_x)
 
 
 # -- least prime -----------------------------------------------------------------------
@@ -470,7 +473,7 @@ def test_library_constants_must_be_finite_and_positive(series_11a1_small, series
     s1, s2 = series_11a1_small, series_37a1_small
     calls = [
         ("c_et1", lambda: cheb_sum_bound(s1, 1000, 10, c_et1=c)),
-        ("c_et2", lambda: cheb_sum_bound_2d(s1, s2, 1000, 10, c_et2=c)),
+        ("c_et2", lambda: cheb_sum_bound_2d(*s1.common_good(s2, 1000)[1:], 10, pi_of_x(s1, 1000), c_et2=c)),
         ("c", lambda: theoretical_bound_curve(1000, 2, 11, "grh-thm13", c=c)),
         ("c", lambda: grh_least_prime_ceiling(2, 11, 0.25, c=c)),
         ("c", lambda: least_prime_in_interval(s1, HALF, c=c)),

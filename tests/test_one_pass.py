@@ -25,7 +25,7 @@ from satotate.discrepancy import (
     theoretical_bound_curve,
 )
 from satotate.errors import RangeExceeded
-from satotate.measure import ENDPOINT_COLLAR, ChebU, Interval, cheb_u, mu_st
+from satotate.measure import ENDPOINT_COLLAR, ChebU, Interval, cheb_u, mu_st, st_cdf
 from satotate.prime_sums import cheb_prime_sum, cheb_sum_rows, partial_summation_residual
 
 from oracles import (
@@ -106,12 +106,12 @@ def test_erdos_turan_bound_equals_copying_form(pairs):
             if not len(series.upto(x)[0]):
                 continue
             for M in (1, 2, 50):
-                assert same(erdos_turan_bound(series, x, M), erdos_turan_bound_copying(series, x, M))
+                assert same(erdos_turan_bound(st_cdf(series.upto(x)[1]), M), erdos_turan_bound_copying(series, x, M))
     # one point, the smallest prefix that has a bound
     meta = FormMeta("one", 2, 1)
     for theta in pairs[0][1].thetas[:40]:
         one_point = AngleSeries(meta, 2, [2], [theta])
-        assert same(erdos_turan_bound(one_point, 2, 50), erdos_turan_bound_copying(one_point, 2, 50))
+        assert same(erdos_turan_bound(st_cdf(one_point.upto(2)[1]), 50), erdos_turan_bound_copying(one_point, 2, 50))
 
 
 def test_discrepancy_report_equals_column_calls(pairs):
@@ -138,10 +138,11 @@ def test_common_good_equals_intersect1d(pairs):
 def test_joint_columns_equal_loop_forms(pairs):
     for _, s1, s2 in pairs:
         for x in XS:
+            _, t1, t2 = s1.common_good(s2, x)
             for grid in (2, 3, 16, 64):
-                assert same(joint_box_discrepancy(s1, s2, x, grid), joint_box_discrepancy_loop(s1, s2, x, grid))
-            assert same(cheb_sum_bound_2d(s1, s2, x, 5), cheb_sum_bound_2d_intersect1d(s1, s2, x, 5))
-            assert joint_count(s1, s2, HALF, MIDDLE, x) == joint_count_intersect1d(s1, s2, HALF, MIDDLE, x)
+                assert same(joint_box_discrepancy(t1, t2, grid), joint_box_discrepancy_loop(s1, s2, x, grid))
+            assert same(cheb_sum_bound_2d(t1, t2, 5, pi_of_x(s1, x)), cheb_sum_bound_2d_intersect1d(s1, s2, x, 5))
+            assert joint_count(t1, t2, HALF, MIDDLE) == joint_count_intersect1d(s1, s2, HALF, MIDDLE, x)
             rep = joint_report(s1, s2, HALF, MIDDLE, x, M=4, grid=8)
             assert same(rep.box_discrepancy_grid, joint_box_discrepancy_loop(s1, s2, x, 8))
             assert same(rep.cheb2_bound, cheb_sum_bound_2d_intersect1d(s1, s2, x, 4))

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -310,6 +311,16 @@ def test_weight_phi_matches_exact_rationals_on_both_edges(ell):
 def test_smoothing_weight_rejects_ell_outside_1_to_14(ell):
     with pytest.raises(ValueError, match=rf"ell must lie in \[1, 14\], got ell = {ell}"):
         SmoothingWeight(10**6, ell, 0.1)
+
+
+@pytest.mark.parametrize("x, ell", [(3, 1), (10**4, 4), (10**6, 14)])
+def test_smoothing_weight_needs_a_normal_edge_width(x, ell):
+    # the edge width 2A = eps / (ell log x) is the smallest normal float at eps = floor
+    floor = sys.float_info.min * ell * math.log(x)
+    assert 2.0 * SmoothingWeight(x, ell, 1.01 * floor).A >= sys.float_info.min
+    for eps in (0.99 * floor, 5e-324):
+        with pytest.raises(ValueError, match=rf"^eps = {eps!r} is too small: the edge width eps / \(ell log x\) underflows$"):
+            SmoothingWeight(x, ell, eps)
 
 
 # -- smoothed psi ------------------------------------------------------------------------

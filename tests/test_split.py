@@ -204,7 +204,7 @@ def test_M_512_still_runs(sim_cache, tmp_path, command):
 def test_cheb_sum_bound_runs_in_the_calling_process(sim_cache, tmp_path, monkeypatch):
     use_cpus(monkeypatch, 8)
     record, read = recorder(tmp_path / "columns")
-    real_bound, real_et = discrepancy_module.cheb_sum_bound, discrepancy_module._erdos_turan
+    real_bound, real_et = discrepancy_module.cheb_sum_bound, discrepancy_module.erdos_turan_bound
 
     def bound(*args):
         record("bound")
@@ -215,9 +215,29 @@ def test_cheb_sum_bound_runs_in_the_calling_process(sim_cache, tmp_path, monkeyp
         return real_et(*args)
 
     monkeypatch.setattr(discrepancy_module, "cheb_sum_bound", bound)
-    monkeypatch.setattr(discrepancy_module, "_erdos_turan", et)
+    monkeypatch.setattr(discrepancy_module, "erdos_turan_bound", et)
     assert main(verify_args(sim_cache, tmp_path / "v.csv")) == 0
     ran = read()
     assert [pid for tag, pid in ran if tag == "bound"] == [os.getpid()] * 3
     et_pids = [pid for tag, pid in ran if tag == "et"]
     assert len(et_pids) == 3 and os.getpid() not in et_pids
+
+
+def test_joint_columns_run_once_per_row_in_the_calling_process(sim_cache, tmp_path, monkeypatch):
+    use_cpus(monkeypatch, 8)
+    record, read = recorder(tmp_path / "columns")
+    names = ("joint_count", "joint_box_discrepancy", "cheb_sum_bound_2d")
+
+    def traced(name):
+        real = getattr(discrepancy_module, name)
+
+        def column(*args):
+            record(name)
+            return real(*args)
+
+        return column
+
+    for name in names:
+        monkeypatch.setattr(discrepancy_module, name, traced(name))
+    assert main(joint_args(sim_cache, tmp_path / "j.csv")) == 0
+    assert sorted(read()) == sorted((name, os.getpid()) for name in names for _ in range(2))  # two x values
