@@ -21,15 +21,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from satotate.angles import build_angle_series, load_cache, save_cache
 from satotate.cli import parse_interval
 from satotate.curves import NAMED_CURVES
-from satotate.discrepancy import (
-    count_in_interval,
-    erdos_turan_bound,
-    exact_discrepancy_1d,
-    fit_decay_exponent,
-    pi_of_x,
-    theoretical_bound_curve,
-)
-from satotate.measure import mu_st, st_cdf
+from satotate.discrepancy import discrepancy_report, fit_decay_exponent, theoretical_bound_curve
+from satotate.measure import mu_st
 
 
 def main() -> int:
@@ -67,15 +60,14 @@ def main() -> int:
     k, q = series.meta.weight_k, series.meta.level_q
     errs = []
     for x in xs:
-        pi_x = pi_of_x(series, x)
-        count = count_in_interval(series, interval, x)
-        err = abs(count / pi_x - mu)
+        rep = discrepancy_report(series, interval, x, M=args.M)
+        err = abs(rep.count / rep.pi_x - mu)
         errs.append(err)
         print(
-            f"{x:>9} {count:>8} {err:>12.6f} "
-            f"{exact_discrepancy_1d(series, x):>12.6f} "
-            f"{erdos_turan_bound(st_cdf(series.upto(x)[1]), args.M):>10.5f} "
-            f"{theoretical_bound_curve(x, k, q, 'unconditional-st1', pi_x=pi_x):>11.1f} "
+            f"{x:>9} {rep.count:>8} {err:>12.6f} "
+            f"{rep.exact_sup_discrepancy:>12.6f} "
+            f"{rep.et_bound:>10.5f} "
+            f"{theoretical_bound_curve(x, k, q, 'unconditional-st1', pi_x=rep.pi_x):>11.1f} "
             f"{theoretical_bound_curve(x, k, q, 'grh-thm13'):>11.1f}"
         )
 

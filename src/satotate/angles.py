@@ -252,10 +252,11 @@ def _first_bad_entry(path: Path, skip: int) -> str | None:
                 if not fields:
                     continue
                 try:
-                    # int() and float() take 1_0, numpy does not
+                    # int() and float() take 1_0 and int() a p beyond int64, numpy does not
                     if len(fields) != 2 or any("_" in f for f in fields):
                         raise ValueError
-                    int(fields[0])
+                    if not -(2**63) <= int(fields[0]) < 2**63:
+                        raise ValueError
                     float(fields[1])
                 except ValueError:
                     return f"line {number} reads {line.strip()!r}"
@@ -347,7 +348,7 @@ def save_cache(series: AngleSeries, path: "str | Path") -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(header)
-            fh.write(records.tobytes())
+            records.tofile(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -29,9 +29,8 @@ def pi_of_x(series: AngleSeries, x: int) -> int:
     return int(good.size) + len(prime_divisors(series.meta.level_q, x))
 
 
-def count_in_interval(series: AngleSeries, interval: Interval, x: int) -> int:
-    """pi_{f,I}(x): good primes p <= x with theta_p in the closed interval."""
-    _, thetas = series.upto(x)
+def count_in_interval(thetas: np.ndarray, interval: Interval) -> int:
+    """pi_{f,I}(x): how many of the angles thetas = series.upto(x)[1] lie in the closed interval."""
     return int(np.count_nonzero(interval.contains(thetas)))
 
 
@@ -43,8 +42,8 @@ def joint_count(t1: np.ndarray, t2: np.ndarray, i1: Interval, i2: Interval) -> i
 # -- exact interval discrepancy -------------------------------------------------
 
 
-def uniform_interval_discrepancy(u: np.ndarray) -> float:
-    """Exact sup over closed intervals [a,b] of |#{u_i in [a,b]}/n - (b-a)|.
+def exact_discrepancy_1d(u: np.ndarray) -> float:
+    """Exact sup over closed intervals [a,b] of |#{u_i in [a,b]}/n - (b-a)|, u = st_cdf(thetas).
 
     Sorted sweep: with g_i = i/n - u_(i) the overshoot side is
     max_{i<=j}(g_j - g_i) + 1/n (intervals pinched onto points), and with
@@ -61,12 +60,6 @@ def uniform_interval_discrepancy(u: np.ndarray) -> float:
     h = np.concatenate(([0.0], u - idx, [-1.0 / n]))
     under = float(np.max(h - np.minimum.accumulate(h))) + 1.0 / n
     return max(over, under)
-
-
-def exact_discrepancy_1d(series: AngleSeries, x: int) -> float:
-    """Exact all-interval discrepancy of {F_ST(theta_p) : p <= x} vs uniform."""
-    _, thetas = series.upto(x)
-    return uniform_interval_discrepancy(st_cdf(thetas))
 
 
 def erdos_turan_bound(u: np.ndarray, M: int) -> float:
@@ -102,13 +95,8 @@ def check_constant(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def cheb_sum_bound(
-    series: AngleSeries,
-    x: int,
-    M: int,
-    c_et1: float = DEFAULT_ET_CONSTANT,
-) -> float:
-    """c * (pi(x)/M + sum_{m<=M} |sum_p U_m(cos theta_p)| / m).
+def cheb_sum_bound(thetas: np.ndarray, M: int, pi_x: int, c_et1: float = DEFAULT_ET_CONSTANT) -> float:
+    """c * (pi(x)/M + sum_{m<=M} |sum_p U_m(cos theta_p)| / m), thetas = series.upto(x)[1].
 
     An absolute-count bound candidate; the hidden constant is configurable
     and reports record whether the candidate dominates the observed error
@@ -117,11 +105,10 @@ def cheb_sum_bound(
     if M < 3:
         raise ValueError("M must be >= 3")
     check_constant("c_et1", c_et1)
-    _, thetas = series.upto(x)
     # U_1 .. U_M, each summed as it is made, so no (M+1) x n table is held
     sums = np.abs([np.sum(row) for row in islice(cheb_u_rows(M, thetas), 1, None)])
     ms = np.arange(1, M + 1)
-    return c_et1 * (pi_of_x(series, x) / M + float(np.sum(sums / ms)))
+    return c_et1 * (pi_x / M + float(np.sum(sums / ms)))
 
 
 def cheb_sum_bound_2d(
@@ -335,7 +322,9 @@ def fit_decay_exponent(xs, errors) -> tuple[float, float]:
         raise DegenerateFit("errors must be positive")
     if np.any(np.diff(xs) <= 0):
         raise DegenerateFit("xs must be strictly increasing")
-    slope, intercept = np.polyfit(np.log(xs), np.log(errors), 1)
+    (slope, intercept), _, rank, _, _ = np.polyfit(np.log(xs), np.log(errors), 1, full=True)
+    if rank < 2:  # full=True hands back polyfit's rank instead of printing its RankWarning
+        raise DegenerateFit("log(xs) are too close together to fit a line")
     return float(slope), float(intercept)
 
 
@@ -374,19 +363,19 @@ def discrepancy_report(
 ) -> DiscrepancyReport:
     check_m(M, 1, "M")  # before any column runs; M = 1 or 2 fails in cheb_sum_bound's column
     pi_x = pi_of_x(series, x)
-    count = count_in_interval(series, interval, x)
+    _, thetas = series.upto(x)  # shared by every column
+    count = count_in_interval(thetas, interval)
     expected = mu_st(interval) * pi_x
-    _, thetas = series.upto(x)
     u = st_cdf(thetas)  # shared by the exact and the Erdos-Turan columns
     # two shares, dealt round-robin: the Erdos-Turan column runs in a forked
-    # worker, the other two in this process (cheb_sum_bound stays here, where
-    # a caller's tracing of it sees it); errors come in column order
+    # worker, the other two in this process, where a caller's tracing of
+    # them sees them; errors come in column order
     exact, et, cheb = split_map(
         lambda column: column(),
         (
-            lambda: uniform_interval_discrepancy(u),
+            lambda: exact_discrepancy_1d(u),
             lambda: erdos_turan_bound(u, M),
-            lambda: cheb_sum_bound(series, x, M, c_et1),
+            lambda: cheb_sum_bound(thetas, M, pi_x, c_et1),
         ),
         cap=2,
     )

@@ -285,9 +285,7 @@ def smoothed_psi(series: AngleSeries, m: int, w: SmoothingWeight) -> float:
         p_hi = upper ** (1.0 / ell)
         if p_hi < 2.0:
             break
-        k = int(np.searchsorted(series.primes, math.floor(p_hi), side="right"))
-        ps = series.primes[:k]
-        thetas = series.thetas[:k]
+        ps, thetas = series.upto(math.floor(p_hi))
         logp = np.log(ps)
         args = ell * logp / log_x
         mask = args >= lower_t  # phi vanishes below the support

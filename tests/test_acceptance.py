@@ -36,7 +36,6 @@ from satotate.discrepancy import (
     joint_count,
     least_prime_in_interval,
     pi_of_x,
-    uniform_interval_discrepancy,
 )
 from satotate.measure import Interval, cheb_inner_product, mu_st, st_cdf
 from satotate.prime_sums import (
@@ -132,7 +131,7 @@ def test_criterion_05_exact_discrepancy_vs_brute_force():
     for _ in range(50):
         n = int(rng.integers(1, 201))
         u = rng.uniform(0.0, 1.0, n)
-        worst = max(worst, abs(uniform_interval_discrepancy(u) - brute_force_interval_discrepancy(u)))
+        worst = max(worst, abs(exact_discrepancy_1d(u) - brute_force_interval_discrepancy(u)))
     report(5, "exact discrepancy equals O(n^2) brute force to 1e-12 on 50 seeded sets",
            worst <= 1e-12, f"worst={worst:.2e}")
 
@@ -145,12 +144,12 @@ def test_criterion_06_erdos_turan_domination(series_11a1_big, series_37a1_big):
         s = synthetic_series(n, int(rng.integers(2**31)))
         x = int(s.primes[-1])
         M = int(rng.integers(1, 101))
-        if erdos_turan_bound(st_cdf(s.upto(x)[1]), M) < exact_discrepancy_1d(s, x):
+        if erdos_turan_bound(st_cdf(s.upto(x)[1]), M) < exact_discrepancy_1d(st_cdf(s.upto(x)[1])):
             violations += 1
     for series in (series_11a1_big, series_37a1_big):
         for x in (10**4, 10**5, 10**6):
             for M in (10, 50):
-                if erdos_turan_bound(st_cdf(series.upto(x)[1]), M) < exact_discrepancy_1d(series, x):
+                if erdos_turan_bound(st_cdf(series.upto(x)[1]), M) < exact_discrepancy_1d(st_cdf(series.upto(x)[1])):
                     violations += 1
     report(6, "ET bound dominates exact discrepancy on 100 seeded sets and real series",
            violations == 0, f"violations={violations}")
@@ -162,7 +161,7 @@ def test_criterion_07_equidistribution_decay(series_11a1_big):
     mu = mu_st(interval)
     errs = []
     for x in (10**4, 10**5, 10**6):
-        c = count_in_interval(series_11a1_big, interval, x)
+        c = count_in_interval(series_11a1_big.upto(x)[1], interval)
         errs.append(abs(c / pi_of_x(series_11a1_big, x) - mu))
     slope, _ = fit_decay_exponent([1e4, 1e5, 1e6], errs)
     decreasing = errs[0] > errs[1] > errs[2]

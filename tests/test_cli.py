@@ -362,6 +362,14 @@ def test_angles_nan_coefficient_exits_3(tmp_path, capsys):
     assert not (tmp_path / "x.stan").exists()
 
 
+@pytest.mark.parametrize("p", ["99999999999999999999", str(2**63), str(-(2**63) - 1)])
+def test_angles_p_beyond_int64_is_named_by_its_line(tmp_path, capsys, p):
+    coeffs = tmp_path / "big.coeffs"
+    coeffs.write_text(f"# satotate-coeffs v1\nlabel=x\nweight=2\nlevel=1\nnormalized=false\n{p} 1\n")
+    assert main(["angles", "--coeffs", str(coeffs), "--xmax", "3", "--out", str(tmp_path / "x.stan")]) == 3
+    assert f"expected 'p a_p' entries: line 6 reads '{p} 1'" in capsys.readouterr().err
+
+
 def test_angles_weight_whose_deligne_bound_overflows_exits_2(tmp_path, capsys):
     # 2 p^((k-1)/2) at k = 1000 overflows a float from p = 5 on
     coeffs = tmp_path / "w1000.coeffs"

@@ -1,8 +1,9 @@
 """Fuzz the CLI's numeric options: every command line exits 0, 2 or 3, never with a traceback.
 
 The commands run in-process on two synthetic caches to x_max = 20000;
-``angles --curve`` and ``simulate`` write their own caches, to an x_max of
-at most 20000, under a temporary folder.
+``angles --curve``, ``angles --coeffs`` and ``simulate`` write their own
+caches, to an x_max of at most 20000, under a temporary folder, and the
+readers of a cache also run on mutated copies of a small one.
 Options are passed as ``--opt=value``, so a negative value reaches the
 option's parser instead of being read as another option.  Sizes are
 bounded so that a valid draw stays cheap: x at most 10 x_max, and a box
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from satotate.angles import _HEADER
 from satotate.cli import main
 from satotate.curves import NAMED_CURVES
 from satotate.discrepancy import GRID_MAX
@@ -74,8 +76,47 @@ BAD_CONDUCTORS = st.one_of(st.integers(-5, 2), st.sampled_from([-(2**64), 2**64,
 MODELS = st.integers(0, 4).flatmap(
     lambda k: st.tuples(BAD_COEFFS, BAD_CONDUCTORS.map(str)) if k == 4 else st.sampled_from(BATTERY)
 )
-# x_max within [2, X_MAX], or <= 1, or not an integer; never above X_MAX
+# x_max within [2, X_MAX], or <= 1, or not an integer; never above X_MAX.  Also the
+# least-prime --curve ceiling: a narrow interval at an end of [0, pi] with no hit
+# streams every prime up to it
 X_MAXES = mostly(st.integers(2, X_MAX), st.integers(-(2**64), 1) | st.sampled_from(["1e4", "2.5", "", "x"]))
+
+# angles --coeffs: the 11a1 file to 29, with a header key dropped, repeated or
+# given a bad value, and bad body lines put in anywhere
+COEFF_HEADER = ["label=x", "weight=2", "level=11", "normalized=false"]
+COEFF_BODY = ["2 -2", "3 -1", "5 1", "7 -2", "13 4", "17 -2", "19 0", "23 -1", "29 0"]
+HEADER_FAULTS = ["weight=2", "weight=two", f"weight={2**32}", "level=0", "level=1e3", "normalized=maybe"]
+BODY_FAULTS = [
+    f"{2**63} 1", f"{-(2**63) - 1} 1", "99999999999999999999 1", "3 nan", "3 1e400", "0x10 1", "1_0 1",
+    "3 1 7", "2 -2", "31 7",  # "2 -2" repeats p = 2; "31 7" puts p out of order anywhere but last
+]
+# xmax mostly within the file's entries, so that most valid files build
+COEFF_X_MAXES = mostly(st.integers(2, 35), st.integers(-(2**64), 1) | st.integers(36, X_MAX))
+
+
+@st.composite
+def coeff_files(draw) -> bytes:
+    header = list(COEFF_HEADER)
+    if draw(st.integers(0, 4)) == 0:
+        del header[draw(st.integers(0, len(header) - 1))]
+    header += draw(st.lists(st.sampled_from(HEADER_FAULTS), max_size=2))
+    body = list(COEFF_BODY)
+    for fault in draw(st.lists(st.sampled_from(BODY_FAULTS), max_size=2)):
+        body.insert(draw(st.integers(0, len(body))), fault)
+    text = "\n".join(["# satotate-coeffs v1", *header, *body, ""]).encode()
+    if draw(st.integers(0, 9)) == 0:  # bytes that are not UTF-8
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + b"\xff\xfe" + text[at:]
+    return text
+
+
+# a STAN body mutation: a bit flipped, 8 bytes overwritten, or the file cut short,
+# each at a position drawn in [0, 1) of the body
+STAN_MUTATIONS = st.one_of(
+    st.tuples(st.just("flip"), st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 7)),
+    st.tuples(st.just("overwrite"), st.floats(0.0, 1.0, exclude_max=True), st.binary(min_size=8, max_size=8)),
+    st.tuples(st.just("truncate"), st.floats(0.0, 1.0, exclude_max=True), st.none()),
+)
 
 # fit's (xs, errors): as many ascending positive xs as positive errors, or any two float lists
 FIT_SAMPLES = st.integers(3, 6).flatmap(
@@ -171,8 +212,10 @@ def test_smooth_fuzz(caches, m, x, ell, eps):
     check(["smooth", f"--cache={caches[0]}", f"--m={m}", f"--x={x}", f"--ell={ell}", f"--eps={eps}"])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # polyfit's RankWarning fails the draw
 @settings(max_examples=25, deadline=None)
 @given(samples=FIT_SAMPLES)
+@example(samples=([1e300, 1.0000000000000002e300, 1.0000000000000004e300], [1.0, 2.0, 3.0]))  # equal logs
 def test_fit_fuzz(samples):
     xs, errors = samples
     check(["fit", f"--xs={joined(xs)}", f"--errors={joined(errors)}"])
@@ -182,6 +225,61 @@ def test_fit_fuzz(samples):
 @given(interval=INTERVALS, ceiling=mostly(st.integers(2, X_MAX), BAD_INDICES), c=CONSTANTS)
 def test_least_prime_cache_fuzz(caches, interval, ceiling, c):
     check(["least-prime", f"--cache={caches[0]}", f"--interval={interval}", f"--ceiling={ceiling}", f"--c={c}"])
+
+
+@settings(max_examples=25, deadline=None)
+@given(model=MODELS, interval=INTERVALS, ceiling=X_MAXES, c=CONSTANTS)
+def test_least_prime_curve_fuzz(model, interval, ceiling, c):
+    coeffs, conductor = model
+    check(
+        [
+            "least-prime", f"--curve={coeffs}", f"--conductor={conductor}", f"--interval={interval}",
+            f"--ceiling={ceiling}", f"--c={c}",
+        ]
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(text=coeff_files(), xmax=COEFF_X_MAXES)
+def test_angles_coeffs_fuzz(out_dir, text, xmax):
+    path = out_dir / "f.coeffs"
+    path.write_bytes(text)
+    check(["angles", f"--coeffs={path}", f"--xmax={xmax}", f"--out={out_dir / 'c.stan'}"])
+
+
+@pytest.fixture(scope="module")
+def small_cache(tmp_path_factory) -> bytes:
+    """The bytes of a simulate cache to x_max = 2000: 303 records."""
+    path = tmp_path_factory.mktemp("small") / "s.stan"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--seed=3", "--xmax=2000", f"--out={path}"]) == 0
+    return path.read_bytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(mutation=STAN_MUTATIONS)
+def test_stan_body_fuzz(out_dir, small_cache, mutation):
+    kind, where, data = mutation
+    blob = bytearray(small_cache)
+    at = _HEADER.size + int(where * (len(blob) - _HEADER.size))
+    if kind == "flip":
+        blob[at] ^= 1 << data
+    elif kind == "overwrite":
+        blob[at : at + 8] = data[: len(blob) - at]  # the length stays
+    else:
+        del blob[at:]
+    path = out_dir / "m.stan"
+    path.write_bytes(bytes(blob))
+    check(["verify", f"--cache={path}", "--interval=middle", "--x=100,1000,2000", "--out=-"])
+    check(["smooth", f"--cache={path}", "--m=1", "--x=1000"])
+    check(["cheb-sums", f"--cache={path}", "--m=4", "--x=100,2000", "--out=-"])
+    check(
+        [
+            "joint", f"--cache1={path}", f"--cache2={path}", "--interval1=half", "--interval2=middle",
+            "--x=2000", "--out=-",
+        ]
+    )
+    check(["least-prime", f"--cache={path}", "--interval=middle", "--ceiling=2000"])
 
 
 @pytest.mark.parametrize("grid", [GRID_MAX + 1, 100_000])

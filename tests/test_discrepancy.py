@@ -26,7 +26,6 @@ from satotate.discrepancy import (
     least_prime_in_interval,
     pi_of_x,
     theoretical_bound_curve,
-    uniform_interval_discrepancy,
 )
 from satotate.errors import DegenerateFit, RangeExceeded, SearchExceeded
 from satotate.measure import Interval, cheb_u, mu_st, st_cdf, st_quantile
@@ -54,7 +53,7 @@ def toy_series(primes, thetas, level=1, x_max=None):
 def test_count_full_interval(series_11a1_small):
     x = 10_000
     full = Interval(0.0, math.pi)
-    assert count_in_interval(series_11a1_small, full, x) == pi_of_x(series_11a1_small, x) - 1
+    assert count_in_interval(series_11a1_small.upto(x)[1], full) == pi_of_x(series_11a1_small, x) - 1
 
 
 def test_count_spec_example_11a1():
@@ -64,16 +63,16 @@ def test_count_spec_example_11a1():
         level=11,
         x_max=10,
     )
-    assert count_in_interval(s, HALF, 10) == 1  # only p = 5 has a_p >= 0
+    assert count_in_interval(s.upto(10)[1], HALF) == 1  # only p = 5 has a_p >= 0
 
 
 def test_count_degenerate_interval(series_11a1_small):
-    assert count_in_interval(series_11a1_small, Interval(0.123, 0.123), 10_000) == 0
+    assert count_in_interval(series_11a1_small.upto(10_000)[1], Interval(0.123, 0.123)) == 0
 
 
 def test_count_range_exceeded(series_11a1_small):
     with pytest.raises(RangeExceeded):
-        count_in_interval(series_11a1_small, HALF, 20_000)
+        count_in_interval(series_11a1_small.upto(20_000)[1], HALF)
 
 
 def test_upto_and_pi_of_x_range_exceeded(series_11a1_small):
@@ -87,9 +86,9 @@ def test_upto_and_pi_of_x_range_exceeded(series_11a1_small):
 
 def test_count_complement(series_11a1_small):
     x = 10_000
-    a = count_in_interval(series_11a1_small, Interval(0.0, 1.0), x)
-    b = count_in_interval(series_11a1_small, Interval(np.nextafter(1.0, 2.0), math.pi), x)
-    total = count_in_interval(series_11a1_small, Interval(0.0, math.pi), x)
+    a = count_in_interval(series_11a1_small.upto(x)[1], Interval(0.0, 1.0))
+    b = count_in_interval(series_11a1_small.upto(x)[1], Interval(np.nextafter(1.0, 2.0), math.pi))
+    total = count_in_interval(series_11a1_small.upto(x)[1], Interval(0.0, math.pi))
     assert a + b == total  # no theta is exactly 1.0
 
 
@@ -132,9 +131,9 @@ def test_joint_marginal_reduction(series_11a1_small, series_37a1_small):
 
 
 def test_discrepancy_trivial_cases():
-    assert uniform_interval_discrepancy(np.array([])) == 0.0
-    assert uniform_interval_discrepancy(np.array([0.0])) == 1.0
-    assert uniform_interval_discrepancy(np.array([0.5])) == pytest.approx(1.0)
+    assert exact_discrepancy_1d(np.array([])) == 0.0
+    assert exact_discrepancy_1d(np.array([0.0])) == 1.0
+    assert exact_discrepancy_1d(np.array([0.5])) == pytest.approx(1.0)
 
 
 def test_discrepancy_midpoint_grid():
@@ -143,7 +142,7 @@ def test_discrepancy_midpoint_grid():
         u = (np.arange(1, n + 1) - 0.5) / n
         expected = brute_force_interval_discrepancy(u)
         assert expected == pytest.approx(1.0 / n, abs=1e-12)
-        assert uniform_interval_discrepancy(u) == pytest.approx(expected, abs=1e-12)
+        assert exact_discrepancy_1d(u) == pytest.approx(expected, abs=1e-12)
 
 
 def test_discrepancy_matches_brute_force_seeded():
@@ -151,7 +150,7 @@ def test_discrepancy_matches_brute_force_seeded():
     for trial in range(50):
         n = int(rng.integers(1, 201))
         u = rng.uniform(0.0, 1.0, n)
-        fast = uniform_interval_discrepancy(u)
+        fast = exact_discrepancy_1d(u)
         slow = brute_force_interval_discrepancy(u)
         assert abs(fast - slow) <= 1e-12, (trial, n)
 
@@ -160,14 +159,14 @@ def test_discrepancy_matches_brute_force_seeded():
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=60))
 def test_discrepancy_matches_brute_force_property(us):
     u = np.array(us)
-    assert uniform_interval_discrepancy(u) == pytest.approx(
+    assert exact_discrepancy_1d(u) == pytest.approx(
         brute_force_interval_discrepancy(u), abs=1e-12
     )
 
 
 def test_exact_discrepancy_empty_series():
     s = toy_series([5], [1.0])
-    assert exact_discrepancy_1d(s, 3) == 0.0
+    assert exact_discrepancy_1d(st_cdf(s.upto(3)[1])) == 0.0
 
 
 # -- Erdos-Turan domination ----------------------------------------------------------
@@ -177,7 +176,7 @@ def test_et_single_point():
     s = toy_series([2], [st_quantile(0.37)])
     bound = erdos_turan_bound(st_cdf(s.upto(2)[1]), 1)
     assert bound == pytest.approx(0.5 + 3.0, abs=1e-12)
-    assert bound >= exact_discrepancy_1d(s, 2)
+    assert bound >= exact_discrepancy_1d(st_cdf(s.upto(2)[1]))
 
 
 def test_et_equidistributed_grid():
@@ -186,7 +185,7 @@ def test_et_equidistributed_grid():
     thetas = np.array([st_quantile(float(v)) for v in u])
     s = toy_series(primes_array(2, 10**4)[:n], thetas)
     bound = erdos_turan_bound(st_cdf(s.upto(int(s.primes[-1]))[1]), n - 1)
-    exact = exact_discrepancy_1d(s, int(s.primes[-1]))
+    exact = exact_discrepancy_1d(st_cdf(s.upto(int(s.primes[-1]))[1]))
     assert bound >= exact
     assert bound <= 10 * math.log(n) / n + 1.0 / n  # O(log n / n) scale
 
@@ -198,14 +197,14 @@ def test_et_domination_seeded_sets():
         s = synthetic_series(min(n, 5000), int(rng.integers(2**31)))
         x = int(s.primes[-1])
         for M in (1, 10, 50):
-            assert erdos_turan_bound(st_cdf(s.upto(x)[1]), M) >= exact_discrepancy_1d(s, x), (trial, M)
+            assert erdos_turan_bound(st_cdf(s.upto(x)[1]), M) >= exact_discrepancy_1d(st_cdf(s.upto(x)[1])), (trial, M)
 
 
 def test_et_domination_real_series(series_11a1_small):
     x = 10_000
     for M in (5, 50, 200):
         assert erdos_turan_bound(st_cdf(series_11a1_small.upto(x)[1]), M) >= exact_discrepancy_1d(
-            series_11a1_small, x
+            st_cdf(series_11a1_small.upto(x)[1])
         )
 
 
@@ -231,9 +230,9 @@ def test_cheb_bound_monte_carlo_domination():
     for seed in range(100):
         s = synthetic_series(500, seed + 1)
         x = int(s.primes[-1])
-        count = count_in_interval(s, MIDDLE, x)
+        count = count_in_interval(s.upto(x)[1], MIDDLE)
         expected = mu_st(MIDDLE) * pi_of_x(s, x)
-        bound = cheb_sum_bound(s, x, M=20, c_et1=4.0)
+        bound = cheb_sum_bound(s.upto(x)[1], M=20, pi_x=pi_of_x(s, x), c_et1=4.0)
         if bound >= abs(count - expected):
             hits += 1
     assert hits >= 99
@@ -243,7 +242,7 @@ def test_cheb_bound_structure(series_11a1_small):
     # all Chebyshev sums zero -> bound reduces to c * pi(x) / M
     s = toy_series([2, 3, 5, 7], [st_quantile(0.2), st_quantile(0.4), st_quantile(0.6), st_quantile(0.8)])
     M = 2000
-    bound = cheb_sum_bound(series_11a1_small, 10_000, M=M, c_et1=4.0)
+    bound = cheb_sum_bound(series_11a1_small.upto(10_000)[1], M=M, pi_x=pi_of_x(series_11a1_small, 10_000), c_et1=4.0)
     assert bound >= 4.0 * pi_of_x(series_11a1_small, 10_000) / M
 
 
@@ -472,7 +471,7 @@ def test_fit_rejects_non_positive_x():
 def test_library_constants_must_be_finite_and_positive(series_11a1_small, series_37a1_small, c):
     s1, s2 = series_11a1_small, series_37a1_small
     calls = [
-        ("c_et1", lambda: cheb_sum_bound(s1, 1000, 10, c_et1=c)),
+        ("c_et1", lambda: cheb_sum_bound(s1.upto(1000)[1], 10, pi_of_x(s1, 1000), c_et1=c)),
         ("c_et2", lambda: cheb_sum_bound_2d(*s1.common_good(s2, 1000)[1:], 10, pi_of_x(s1, 1000), c_et2=c)),
         ("c", lambda: theoretical_bound_curve(1000, 2, 11, "grh-thm13", c=c)),
         ("c", lambda: grh_least_prime_ceiling(2, 11, 0.25, c=c)),

@@ -96,8 +96,9 @@ def test_cheb_sum_bound_equals_table_form(pairs):
     for _, series, _ in pairs:
         for x in XS:
             for M in (3, 4, 50):
-                assert same(cheb_sum_bound(series, x, M), cheb_sum_bound_table(series, x, M))
-    assert cheb_sum_bound(pairs[2][1], 1, 3) == 0.0  # empty prefix, no ramified primes
+                got = cheb_sum_bound(series.upto(x)[1], M, pi_of_x(series, x))
+                assert same(got, cheb_sum_bound_table(series, x, M))
+    assert cheb_sum_bound(pairs[2][1].upto(1)[1], 3, pi_of_x(pairs[2][1], 1)) == 0.0  # empty prefix, no ramified primes
 
 
 def test_erdos_turan_bound_equals_copying_form(pairs):
@@ -118,7 +119,7 @@ def test_discrepancy_report_equals_column_calls(pairs):
     series = pairs[0][1]
     for x in (2, 100, 27449):
         rep = discrepancy_report(series, MIDDLE, x, M=20)
-        assert same(rep.exact_sup_discrepancy, exact_discrepancy_1d(series, x))
+        assert same(rep.exact_sup_discrepancy, exact_discrepancy_1d(st_cdf(series.upto(x)[1])))
         assert same(rep.et_bound, erdos_turan_bound_copying(series, x, 20))
         assert same(rep.cheb_bound, cheb_sum_bound_table(series, x, 20))
 
@@ -219,11 +220,11 @@ def test_verify_csv_bytes(caches):
     rows = []
     for x in (100, 5000, 30000):
         pi_x = pi_of_x(series, x)
-        count = count_in_interval(series, MIDDLE, x)
+        count = count_in_interval(series.upto(x)[1], MIDDLE)
         expected = mu_st(MIDDLE) * pi_x
         rows.append({
             "x": x, "pi_x": pi_x, "count": count, "expected": expected, "error_abs": abs(count - expected),
-            "exact_sup_discrepancy": exact_discrepancy_1d(series, x),
+            "exact_sup_discrepancy": exact_discrepancy_1d(st_cdf(series.upto(x)[1])),
             "et_bound": erdos_turan_bound_copying(series, x, 50),
             "cheb_bound": cheb_sum_bound_table(series, x, 50),
             "st1_curve": theoretical_bound_curve(x, 2, 77, "unconditional-st1", 1.0, pi_x=pi_x),
