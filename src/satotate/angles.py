@@ -72,6 +72,8 @@ class AngleSeries:
         self.thetas = np.asarray(self.thetas, dtype=np.float64)
         if self.primes.shape != self.thetas.shape:
             raise ValueError("primes and thetas must have equal length")
+        if self.primes.size and self.primes[0] < 2:
+            raise ValueError(f"prime {self.primes[0]} is below 2")
         if self.primes.size and np.any(np.diff(self.primes) <= 0):
             raise ValueError("primes must be strictly increasing")
         if self.primes.size and self.primes[-1] > self.x_max:

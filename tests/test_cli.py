@@ -412,6 +412,25 @@ def test_cache_header_weight_or_level_out_of_range_exits_3(tmp_path, capsys, wei
     assert str(cache) in err and message in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cheb-sums", "--m", "2", "--x", "1000"],
+        ["smooth", "--m", "1", "--x", "1500"],
+        ["least-prime", "--interval", "0:3.14"],
+    ],
+)
+def test_cache_whose_first_prime_is_below_2_exits_3(tmp_path, capsys, argv):
+    cache = tmp_path / "p0.stan"
+    assert main(["simulate", "--seed", "1", "--xmax", "2000", "--out", str(cache)]) == 0
+    blob = bytearray(cache.read_bytes())
+    blob[struct.calcsize("<4sIQIIQQ")] ^= 1 << 1  # the first record's p = 2 becomes 0
+    cache.write_bytes(blob)
+    capsys.readouterr()
+    assert main([argv[0], "--cache", str(cache), *argv[1:]]) == 3
+    assert capsys.readouterr() == ("", f"error: {cache}: bad records: prime 0 is below 2\n")
+
+
 @pytest.mark.parametrize("command", ["angles", "least-prime"])
 def test_curve_conductor_beyond_2_64_exits_2(tmp_path, capsys, command):
     # 11^20 passes the gcd check against 11a1's discriminant -11^5, but no STAN header holds it

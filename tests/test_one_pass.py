@@ -25,7 +25,7 @@ from satotate.discrepancy import (
     theoretical_bound_curve,
 )
 from satotate.errors import RangeExceeded
-from satotate.measure import ENDPOINT_COLLAR, ChebU, Interval, cheb_u, mu_st, st_cdf
+from satotate.measure import ENDPOINT_COLLAR, ChebU, Interval, cheb_u, mu_st, st_cdf, st_quantile
 from satotate.prime_sums import cheb_prime_sum, cheb_sum_rows, partial_summation_residual
 
 from oracles import (
@@ -148,6 +148,27 @@ def test_joint_columns_equal_loop_forms(pairs):
             assert same(rep.box_discrepancy_grid, joint_box_discrepancy_loop(s1, s2, x, 8))
             assert same(rep.cheb2_bound, cheb_sum_bound_2d_intersect1d(s1, s2, x, 4))
             assert rep.joint_count == joint_count_intersect1d(s1, s2, HALF, MIDDLE, x)
+
+
+def test_joint_box_discrepancy_equals_loop_form_where_maxima_tie():
+    a, b = synthetic_series(2000, seed=13), synthetic_series(2000, seed=14)
+    l1, l2 = (np.round(t * (6 / math.pi)) * (math.pi / 6) for t in (a.thetas, b.thetas))  # seven angles
+    # one point per cell of the 7 x 7 grid, the first 49 primes: at grid 7 every box is exact and every u-range ties
+    c7 = st_quantile((np.arange(7) + 0.5) / 7)
+    cases = [  # (t1, t2, x)
+        (a.thetas, a.thetas, a.x_max),
+        (a.thetas, math.pi - a.thetas, a.x_max),
+        (np.full(len(a), 1.0), np.full(len(a), 2.0), a.x_max),  # every point in one bin
+        (a.thetas, b.thetas, 2),  # n = 1
+        (a.thetas, b.thetas, 3),  # n = 2
+        (l1, l2, a.x_max),
+        (np.append(np.repeat(c7, 7), a.thetas[49:]), np.append(np.tile(c7, 7), b.thetas[49:]), int(a.primes[48])),
+    ]
+    for k, (t1, t2, x) in enumerate(cases):
+        s1, s2 = (AngleSeries(FormMeta("tie", 2, 1), a.x_max, a.primes, t) for t in (t1, t2))
+        for grid in (2, 3, 7, 100 if k % 2 else 128):  # the loop form takes about 1 s at 128
+            got = joint_box_discrepancy(*s1.common_good(s2, x)[1:], grid)
+            assert same(got, joint_box_discrepancy_loop(s1, s2, x, grid)), (k, grid)
 
 
 def test_cheb_sum_rows_equal_two_call_pair(pairs):
