@@ -20,6 +20,7 @@ import numpy as np
 
 from satotate.curves import CurveSpec, ec_ap_array
 from satotate.errors import DeligneViolation, FormatError, MissingPrime, RangeExceeded
+from satotate.measure import map_nodes
 from satotate.primes import prime_divisors, primes_array
 
 DELIGNE_SLACK = 1e-12
@@ -102,13 +103,13 @@ class AngleSeries:
 
 
 def _libm_map(fn, x, *args) -> np.ndarray:
-    """fn(element, *args) for each element of x, by the math module's libm call.
+    """fn(element, *args) for each element of x, by the math module's libm call, in this process.
 
     numpy's SIMD kernels round differently from libm on some inputs: on an
     AVX-512 host np.arccos differs from math.acos on about 9 % of random
     ratios, and np.sqrt(p) from float(p) ** 0.5 at 548 primes below 1e7.
     Angles must stay bit-identical to the scalar formula, so each element
-    takes the libm call, at about 50 ns.
+    takes the libm call, at about 50 ns.  angle_from_ap splits around it.
     """
     values = map(fn, x.ravel().tolist(), *(repeat(a) for a in args))
     return np.fromiter(values, np.float64, count=x.size).reshape(x.shape)
@@ -123,25 +124,30 @@ def angle_from_ap(ap, p, k: int):
     math.acos(min(1, max(-1, ap / (2.0 * float(p) ** ((k - 1) / 2))))) bit for bit.
     Raises DeligneViolation at the first |a_p| (in array order) that exceeds
     the bound by more than a relative 1e-12, or is NaN, which only happens
-    on corrupt input, and ValueError where the bound overflows a float.
+    on corrupt input, and ValueError where the bound overflows a float.  Nodes
+    go to forked processes (map_nodes); the checks see the whole array.
     """
-    ap = np.asarray(ap, dtype=np.float64)
-    p = np.asarray(p)
-    try:
-        with np.errstate(over="ignore"):
-            bound = 2.0 * _libm_map(math.pow, p.astype(np.float64), (k - 1) / 2.0)
-    except OverflowError:
-        bound = np.array(math.inf)
+    shape = np.shape(ap)
+    ap, p = np.ravel(np.asarray(ap, dtype=np.float64)), np.ravel(p)
+
+    def node(start: int, stop: int) -> tuple[np.ndarray, np.ndarray | None]:
+        try:
+            with np.errstate(over="ignore"):
+                bound = 2.0 * _libm_map(math.pow, p[start:stop].astype(np.float64), (k - 1) / 2.0)
+        except OverflowError:
+            return np.full(stop - start, math.inf), None
+        return bound, _libm_map(math.acos, np.clip(ap[start:stop] / bound, -1.0, 1.0))
+
+    nodes = map_nodes(node, p.size)
+    bound = np.concatenate([b for b, _ in nodes])
     if not np.isfinite(bound).all():
         raise ValueError(f"2 p^((k-1)/2) overflows a float at weight k = {k}, p = {p.max().item()}")
     over = ~(np.abs(ap) <= bound * (1.0 + DELIGNE_SLACK))
     if over.any():
         i = int(np.argmax(over))
-        raise DeligneViolation(
-            f"|a_p| = {abs(ap.flat[i].item())} > 2 p^((k-1)/2) = {bound.flat[i].item()} "
-            f"at p = {p.flat[i].item()}"
-        )
-    theta = _libm_map(math.acos, np.clip(ap / bound, -1.0, 1.0))
+        a, b, q = abs(ap[i].item()), bound[i].item(), p[i].item()
+        raise DeligneViolation(f"|a_p| = {a} > 2 p^((k-1)/2) = {b} at p = {q}")
+    theta = np.concatenate([t for _, t in nodes]).reshape(shape)
     return float(theta) if theta.ndim == 0 else theta
 
 

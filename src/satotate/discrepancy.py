@@ -19,7 +19,7 @@ import numpy as np
 from satotate.angles import AngleSeries, angle_from_ap, curve_meta
 from satotate.curves import CurveSpec, _residues, ec_ap, ec_ap_array, lockstep_rows, split_map
 from satotate.errors import DegenerateFit, SatotateError, SearchExceeded
-from satotate.measure import Interval, check_m, cheb_u_rows, cheb_u_table, mu_st, st_cdf
+from satotate.measure import Interval, check_m, cheb_u_rows, cheb_u_table, forks, mu_st, pairwise_sums, st_cdf
 from satotate.primes import PrimeRange, prime_count, prime_divisors, primes_in
 
 
@@ -67,20 +67,27 @@ def erdos_turan_bound(u: np.ndarray, M: int) -> float:
 
     1/(M+1) + (3/n) sum_{m<=M} |S_m|/m with S_m = sum_p e(m u_p); dominates
     the exact all-interval discrepancy for every point set and every M >= 1.
+    Each S_m is summed node by node (pairwise_sums), bit-identical to np.sum.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
     n = u.size
     if n == 0:
         raise ValueError("series has no points up to x")
-    base = np.exp(2j * math.pi * u)
-    # e(m u) = e(u)^m: one running product keeps memory at O(n) for any M;
-    # the unit-modulus drift is ~M eps, far below every tolerance in play
-    cur = np.ones_like(base)
+
+    def node(start: int, stop: int) -> tuple[np.ndarray]:
+        base = np.exp(2j * math.pi * u[start:stop])
+        # e(m u) = e(u)^m: one running product keeps memory at O(node) for any M;
+        # the unit-modulus drift is ~M eps, far below every tolerance in play
+        cur, sums = np.ones_like(base), np.empty(M, dtype=complex)
+        for m in range(M):
+            cur = cur * base
+            sums[m] = cur.sum()
+        return (sums,)
+
     total = 0.0
-    for m in range(1, M + 1):
-        cur = cur * base
-        total += abs(cur.sum()) / m
+    for m, s in enumerate(pairwise_sums(n, node, unit=2)[0], 1):
+        total += abs(s) / m
     return 1.0 / (M + 1) + (3.0 / n) * total
 
 
@@ -100,15 +107,18 @@ def cheb_sum_bound(thetas: np.ndarray, M: int, pi_x: int, c_et1: float = DEFAULT
 
     An absolute-count bound candidate; the hidden constant is configurable
     and reports record whether the candidate dominates the observed error
-    rather than asserting it.
+    rather than asserting it.  Each row is summed node by node (pairwise_sums).
     """
     if M < 3:
         raise ValueError("M must be >= 3")
     check_constant("c_et1", c_et1)
-    # U_1 .. U_M, each summed as it is made, so no (M+1) x n table is held
-    sums = np.abs([np.sum(row) for row in islice(cheb_u_rows(M, thetas), 1, None)])
-    ms = np.arange(1, M + 1)
-    return c_et1 * (pi_x / M + float(np.sum(sums / ms)))
+
+    def node(start: int, stop: int) -> tuple[np.ndarray]:
+        # U_1 .. U_M of the node, each summed as it is made, so no (M+1) x n table is held
+        return (np.array([np.sum(row) for row in islice(cheb_u_rows(M, thetas[start:stop]), 1, None)]),)
+
+    sums = np.abs(pairwise_sums(thetas.size, node)[0])
+    return c_et1 * (pi_x / M + float(np.sum(sums / np.arange(1, M + 1))))
 
 
 def cheb_sum_bound_2d(
@@ -365,9 +375,9 @@ def discrepancy_report(
     count = count_in_interval(thetas, interval)
     expected = mu_st(interval) * pi_x
     u = st_cdf(thetas)  # shared by the exact and the Erdos-Turan columns
-    # two shares, dealt round-robin: the Erdos-Turan column runs in a forked
-    # worker, the other two in this process, where a caller's tracing of
-    # them sees them; errors come in column order
+    # from SHARE_FLOOR points on, two shares: the Erdos-Turan column runs in
+    # a forked worker, the other two in this process, where a caller's
+    # tracing of them sees them; errors come in column order
     exact, et, cheb = split_map(
         lambda column: column(),
         (
@@ -375,7 +385,7 @@ def discrepancy_report(
             lambda: erdos_turan_bound(u, M),
             lambda: cheb_sum_bound(thetas, M, pi_x, c_et1),
         ),
-        cap=2,
+        cap=2 if forks(thetas.size) else 1,
     )
     return DiscrepancyReport(
         x=x,

@@ -14,7 +14,14 @@ from itertools import repeat
 
 import numpy as np
 
+from satotate.curves import split_map
+
 M_MAX = 512
+
+# pairwise_sums cuts numpy's summation tree at nodes of this many elements (at least numpy's block, 128)
+PAIRWISE_LEAF = 1 << 15
+# a row or a column forks from this many points on; a split of nodes deals two nodes a share at the least
+SHARE_FLOOR = 2 * PAIRWISE_LEAF
 
 # Within this distance of theta in {0, pi} the sine-ratio form loses digits,
 # so evaluation switches to the three-term recurrence in x = cos(theta).
@@ -48,6 +55,42 @@ def st_cdf(theta):
     return (theta - np.sin(2.0 * theta) / 2.0) / math.pi
 
 
+def forks(points: int) -> bool:
+    """Whether a row or a column of this many points is worth a forked share."""
+    return points >= SHARE_FLOOR
+
+
+def pairwise_nodes(n: int, unit: int = 1) -> list[tuple[int, int]]:
+    """(start, stop) of the nodes of numpy's pairwise tree over n elements of unit doubles, cut at PAIRWISE_LEAF."""
+    if n <= PAIRWISE_LEAF:
+        return [(0, n)]
+    half = n * unit // 16 * 8 // unit
+    return pairwise_nodes(half, unit) + [(half + a, half + b) for a, b in pairwise_nodes(n - half, unit)]
+
+
+def map_nodes(fn, n: int, unit: int = 1) -> list:
+    """[fn(start, stop) for each of pairwise_nodes(n, unit)], dealt by split_map two nodes a share or more."""
+    nodes = pairwise_nodes(n, unit)
+    return split_map(lambda node: fn(*node), nodes, cap=len(nodes) // 2)
+
+
+def pairwise_sums(n: int, leaf, unit: int = 1) -> tuple:
+    """The tuple of np.sum results that leaf(start, stop) takes on each node, the nodes added in np.sum's order.
+
+    np.sum of a contiguous array adds the halves of a node split at half its doubles, rounded down to 8 (an
+    element is unit doubles, 2 for complex128), so each sum equals np.sum over all n elements bit for bit.
+    """
+    parts = iter(map_nodes(leaf, n, unit))
+
+    def add(size: int) -> tuple:
+        if size <= PAIRWISE_LEAF:
+            return next(parts)
+        half = size * unit // 16 * 8 // unit
+        return tuple(a + b for a, b in zip(add(half), add(size - half)))  # the left half's nodes come first
+
+    return add(n)
+
+
 def st_quantile(u):
     """Inverse CDF by safeguarded Newton iteration; scalar or array in, same out.
 
@@ -57,12 +100,19 @@ def st_quantile(u):
     scalar iteration: it returns theta when F(theta) = u exactly, stops once
     a step moves theta by less than 1e-15, and runs at most 200 steps.  The
     derivative is the scalar's math.sin(theta) ** 2.  Pass whole arrays: a
-    scalar runs the same loop on one element, at about 0.5 ms a call.
+    scalar runs the same loop on one element, at about 0.5 ms a call.  Nodes
+    of elements go to forked processes (map_nodes).
     """
     u = np.asarray(u, dtype=np.float64)
     if not ((u >= 0.0) & (u <= 1.0)).all():
         raise ValueError("u must lie in [0, 1]")
     flat = u.ravel()
+    out = np.concatenate(map_nodes(lambda start, stop: _newton(flat[start:stop]), flat.size))
+    return float(out[0]) if u.ndim == 0 else out.reshape(u.shape)
+
+
+def _newton(flat: np.ndarray) -> np.ndarray:
+    """st_quantile of a 1-D array of u in [0, 1], in this process."""
     out = np.where(flat == 1.0, math.pi, 0.0)
     live = np.flatnonzero((flat > 0.0) & (flat < 1.0))
     target = flat[live]
@@ -89,7 +139,7 @@ def st_quantile(u):
         keep = ~done
         live, target, lo, hi, theta = live[keep], target[keep], lo[keep], hi[keep], step[keep]
     out[live] = theta
-    return float(out[0]) if u.ndim == 0 else out.reshape(u.shape)
+    return out
 
 
 def check_m(m: int, least: int = 0, name: str = "m") -> None:

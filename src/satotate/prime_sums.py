@@ -22,7 +22,7 @@ import numpy as np
 from satotate.angles import AngleSeries
 from satotate.curves import split_map
 from satotate.errors import RangeExceeded
-from satotate.measure import ChebU, cheb_u, gauss_legendre_nodes
+from satotate.measure import ChebU, check_m, cheb_u, forks, gauss_legendre_nodes, pairwise_nodes, pairwise_sums
 
 LONGDOUBLE = np.longdouble
 
@@ -58,8 +58,17 @@ def _residual_factors(logp: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray,
     return logp_ld, 1.0 / logp_ld - LONGDOUBLE(1.0) / lx, lx
 
 
-def _residual(w: np.ndarray, logp_ld: np.ndarray, factor: np.ndarray, lx: LONGDOUBLE) -> float:
-    """|LHS - RHS| of the partial-summation identity for term weights w * log p.
+def _residual_sums(w: np.ndarray, logp_ld: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """sum w, sum w log p and sum w log p (1/log p - 1/log x) in extended precision: a residual's three sums."""
+    w_ld = w.astype(LONGDOUBLE)
+    lhs = np.sum(w_ld)
+    # in place, in the order of the plain expressions: a row holds one long-double node, not three
+    terms = np.multiply(w_ld, logp_ld, out=w_ld)
+    return np.array([lhs, np.sum(terms), np.sum(np.multiply(terms, factor, out=terms))])
+
+
+def _residual(sums: np.ndarray, lx: LONGDOUBLE) -> float:
+    """|LHS - RHS| of the partial-summation identity, from a whole row's _residual_sums.
 
     LHS is sum w_p; RHS routes through theta(x)/log x minus the integral of
     theta(t)/(t log^2 t), which the step structure of theta collapses to
@@ -67,13 +76,8 @@ def _residual(w: np.ndarray, logp_ld: np.ndarray, factor: np.ndarray, lx: LONGDO
     identical, so the returned value is pure floating-point noise; sums are
     accumulated in extended precision to keep it far below 1e-9 relative.
     """
-    w_ld = w.astype(LONGDOUBLE)
-    lhs = np.sum(w_ld)
-    # in place, in the order of the plain expressions: each of the rows that
-    # cheb_sum_rows runs at once holds one long-double array, not three
-    terms = np.multiply(w_ld, logp_ld, out=w_ld)
-    rhs = np.sum(terms) / lx + np.sum(np.multiply(terms, factor, out=terms))
-    return float(abs(lhs - rhs))
+    lhs, weighted, integral = sums
+    return float(abs(lhs - (weighted / lx + integral)))
 
 
 def partial_summation_residual(series: AngleSeries, m: int, x: int) -> float:
@@ -84,11 +88,12 @@ def partial_summation_residual(series: AngleSeries, m: int, x: int) -> float:
 def cheb_sum_rows(series: AngleSeries, ms, x: int) -> list[tuple[int, float, float, float]]:
     """(m, sum_plain, sum_weighted, residual) for each m in ms, at one x.
 
-    The sums of each row equal cheb_prime_sum(series, m, x) bit for bit;
-    U_m is evaluated once per m, and log p, the sine-ratio split and the
-    extended-precision factor 1/log p - 1/log x once per x.  The rows are
-    shared among forked processes by split_map, so they do not depend on
-    the CPU count.  x < 3 raises ValueError unless ms is empty.
+    The sums of each row equal cheb_prime_sum(series, m, x) bit for bit: a
+    row takes its five sums node by node (pairwise_sums), U_m once per m and
+    node; log p, the sine-ratio split and the extended-precision factor
+    1/log p - 1/log x are made once per x.  From SHARE_FLOOR points on, the
+    rows are shared among forked processes by split_map, so they do not
+    depend on the CPU count.  x < 3 raises ValueError unless ms is empty.
     """
     ps, thetas = series.upto(x)
     if ps.size == 0:
@@ -96,17 +101,24 @@ def cheb_sum_rows(series: AngleSeries, ms, x: int) -> list[tuple[int, float, flo
         if rows and x < 3:
             raise ValueError("x must be >= 3")
         return rows
-    cheb = ChebU(thetas)
+    chebs = {start: ChebU(thetas[start:stop]) for start, stop in pairwise_nodes(ps.size)}
     logp = np.log(ps)
-    factors = _residual_factors(logp, x) if x >= 3 else None
+    logp_ld, factor, lx = _residual_factors(logp, x) if x >= 3 else (None, None, None)
 
     def row(m: int) -> tuple[int, float, float, float]:
-        u = cheb(m)
-        if factors is None:
+        check_m(m)
+        if lx is None:
             raise ValueError("x must be >= 3")
-        return m, float(np.sum(u)), float(np.sum(u * logp)), _residual(u, *factors)
 
-    return split_map(row, ms)
+        def node(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+            u = chebs[start](m)
+            plain = np.array([np.sum(u), np.sum(u * logp[start:stop])])
+            return plain, _residual_sums(u, logp_ld[start:stop], factor[start:stop])
+
+        (plain, weighted), residual = pairwise_sums(ps.size, node)
+        return m, float(plain), float(weighted), _residual(residual, lx)
+
+    return split_map(row, ms, cap=None if forks(ps.size) else 1)
 
 
 def partial_summation_residual_joint(
@@ -118,7 +130,8 @@ def partial_summation_residual_joint(
     ps, t1, t2 = series1.common_good(series2, x)
     if ps.size == 0:
         return 0.0
-    return _residual(cheb_u(m1, t1) * cheb_u(m2, t2), *_residual_factors(np.log(ps), x))
+    logp_ld, factor, lx = _residual_factors(np.log(ps), x)
+    return _residual(_residual_sums(cheb_u(m1, t1) * cheb_u(m2, t2), logp_ld, factor), lx)
 
 
 def _fold(angle):
@@ -270,6 +283,7 @@ def smoothed_psi(series: AngleSeries, m: int, w: SmoothingWeight) -> float:
 
     Requires series coverage up to x e^eps (the right edge of the support of
     phi); the left edge makes everything below sqrt(x) e^(-eps) vanish.
+    Each ell term is summed node by node (pairwise_sums), ell = 1's in forked processes.
     """
     x = w.x
     upper = x * math.exp(w.eps)
@@ -289,11 +303,11 @@ def smoothed_psi(series: AngleSeries, m: int, w: SmoothingWeight) -> float:
         logp = np.log(ps)
         args = ell * logp / log_x
         mask = args >= lower_t  # phi vanishes below the support
-        if not np.any(mask):
-            continue
-        args = args[mask]
-        logp = logp[mask]
-        folded = _fold(ell * thetas[mask])
-        phi_vals = weight_phi(w, args)
-        total += float(np.sum(phi_vals * cheb_u(m, folded) * logp))
+        args, logp, thetas = args[mask], logp[mask], thetas[mask]
+
+        def node(start: int, stop: int) -> tuple[np.float64]:
+            phi_vals = weight_phi(w, args[start:stop])
+            return (np.sum(phi_vals * cheb_u(m, _fold(ell * thetas[start:stop])) * logp[start:stop]),)
+
+        total += float(pairwise_sums(args.size, node)[0])
     return total

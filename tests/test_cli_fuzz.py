@@ -175,12 +175,14 @@ def test_simulate_fuzz(out_dir, seed, xmax):
     check(["simulate", f"--seed={seed}", f"--xmax={xmax}", f"--out={out_dir / 's.stan'}"])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy float warning fails the draw
 @settings(max_examples=30, deadline=None)
 @given(M=ORDERS, xs=x_lists(4), option=st.sampled_from(["--c-et1", "--c-st1", "--c-grh"]), c=CONSTANTS)
 def test_verify_fuzz(caches, M, xs, option, c):
     check(["verify", f"--cache={caches[0]}", "--interval=middle", f"--x={xs}", f"--M={M}", f"{option}={c}", "--out=-"])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy float warning fails the draw
 @settings(max_examples=20, deadline=None)
 @given(M=ORDERS, grid=GRIDS, xs=x_lists(2), c=CONSTANTS)
 def test_joint_fuzz(caches, M, grid, xs, c):
@@ -192,6 +194,7 @@ def test_joint_fuzz(caches, M, grid, xs, c):
     )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy float warning fails the draw
 @settings(max_examples=25, deadline=None)
 @given(m=INDICES, m_min=st.none() | INDICES, xs=x_lists(3))
 def test_cheb_sums_fuzz(caches, m, m_min, xs):
@@ -222,6 +225,7 @@ def test_fit_fuzz(samples):
     check(["fit", f"--xs={joined(xs)}", f"--errors={joined(errors)}"])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy float warning fails the draw
 @settings(max_examples=25, deadline=None)
 @given(interval=INTERVALS, ceiling=mostly(st.integers(2, X_MAX), BAD_INDICES), c=CONSTANTS)
 def test_least_prime_cache_fuzz(caches, interval, ceiling, c):
@@ -240,6 +244,7 @@ def test_least_prime_curve_fuzz(model, interval, ceiling, c):
     )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy float warning fails the draw
 @settings(max_examples=25, deadline=None)
 @given(text=coeff_files(), xmax=COEFF_X_MAXES)
 def test_angles_coeffs_fuzz(out_dir, text, xmax):

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from satotate.measure import (
+    PAIRWISE_LEAF,
     Interval,
     cheb_inner_product,
     cheb_u,
     cheb_u_table,
     mu_st,
+    pairwise_sums,
     st_cdf,
     st_quantile,
 )
@@ -172,3 +174,32 @@ def test_orthonormality():
 def test_inner_product_rejects_large_indices():
     with pytest.raises(ValueError):
         cheb_inner_product(65, 0)
+
+
+def same_bits(a, b) -> bool:
+    """a and b are the same number, sign of zero included, for float64, long double and complex128 alike."""
+    parts = (lambda v: (v.real, v.imag)) if np.iscomplexobj(a) else (lambda v: (v,))
+    return all(x == y and np.signbit(x) == np.signbit(y) for x, y in zip(parts(a), parts(b)))
+
+
+def pairwise_data(kind: str, n: int, rng) -> np.ndarray:
+    if kind == "cancelling":  # +-v pairs in random places, plus a little: the sum is all rounding
+        v = rng.uniform(1.0, 2.0, (n + 1) // 2)
+        return rng.permutation(np.concatenate([v, -v]))[:n] + 1e-17 * rng.standard_normal(n)
+    if kind == "mixed":
+        return rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    return np.where(rng.random(n) < 0.999, -0.0, 0.0)  # signed zeros, mostly -0.0
+
+
+@pytest.mark.parametrize("kind", ["cancelling", "mixed", "zeros"])
+def test_pairwise_sums_equal_np_sum_bit_for_bit(kind):
+    # numpy's summation order, pinned: if numpy changes it, this fails before any output digest moves
+    rng = np.random.default_rng(23)
+    sizes = [0, 1, 7, 8, 9, 127, 128, 129, PAIRWISE_LEAF - 1, PAIRWISE_LEAF, PAIRWISE_LEAF + 1,
+             2 * PAIRWISE_LEAF + 3, 664_579, *rng.integers(2, 300_000, 4).tolist()]
+    for n in sizes:
+        real = pairwise_data(kind, n, rng)
+        cases = [(real, 1), (real.astype(np.longdouble), 1), (real + 1j * pairwise_data(kind, n, rng), 2)]
+        for x, unit in cases:
+            (got,) = pairwise_sums(n, lambda start, stop: (np.sum(x[start:stop]),), unit)
+            assert same_bits(got, np.sum(x)), (kind, n, x.dtype)

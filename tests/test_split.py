@@ -1,22 +1,35 @@
-"""The process split of the analysis rows and the lockstep blocks: split_map, and the verify / cheb-sums bytes under it."""
+"""The process split of the analysis rows, the nodes and the lockstep blocks: split_map, and the output bytes under it."""
 
 import inspect
+import math
+import multiprocessing
 import os
 import pickle
 import time
 from multiprocessing import active_children
 
+import numpy as np
 import pytest
 
 import satotate.curves as curves_module
 import satotate.discrepancy as discrepancy_module
 import satotate.errors as errors_module
+import satotate.measure as measure_module
+from satotate.angles import angle_from_ap, load_cache, write_coeff_file
 from satotate.cli import main
 from satotate.curves import split_map
+from satotate.errors import DeligneViolation
+from satotate.primes import primes_array
 
 
 def use_cpus(monkeypatch, n: int) -> None:
     monkeypatch.setattr(curves_module.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def use_small_nodes(monkeypatch, leaf: int = 4096) -> None:
+    """Nodes of leaf elements (numpy's block is 128) and a floor of two of them, so a 1e5-point cache splits many ways."""
+    monkeypatch.setattr(measure_module, "PAIRWISE_LEAF", leaf)
+    monkeypatch.setattr(measure_module, "SHARE_FLOOR", 2 * leaf)
 
 
 def recorder(path):
@@ -203,6 +216,7 @@ def test_M_512_still_runs(sim_cache, tmp_path, command):
 
 def test_cheb_sum_bound_runs_in_the_calling_process(sim_cache, tmp_path, monkeypatch):
     use_cpus(monkeypatch, 8)
+    monkeypatch.setattr(measure_module, "SHARE_FLOOR", 1)  # x = 1000 holds 168 points, below the floor
     record, read = recorder(tmp_path / "columns")
     real_bound, real_et = discrepancy_module.cheb_sum_bound, discrepancy_module.erdos_turan_bound
 
@@ -241,3 +255,76 @@ def test_joint_columns_run_once_per_row_in_the_calling_process(sim_cache, tmp_pa
         monkeypatch.setattr(discrepancy_module, name, traced(name))
     assert main(joint_args(sim_cache, tmp_path / "j.csv")) == 0
     assert sorted(read()) == sorted((name, os.getpid()) for name in names for _ in range(2))  # two x values
+
+
+def test_rows_below_the_floor_start_no_process(sim_cache, tmp_path, monkeypatch):
+    use_cpus(monkeypatch, 8)
+    assert primes_array(2, 100_000).size < measure_module.SHARE_FLOOR
+
+    def no_fork(*args):
+        raise AssertionError("a split below the floor forked")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    assert main(verify_args(sim_cache, tmp_path / "v.csv", "--x", "1000,100000")) == 0
+    assert main(cheb_sums_args(sim_cache, tmp_path / "c.csv", "--x", "1000,100000")) == 0
+    assert main(["smooth", "--cache", str(sim_cache), "--m", "1", "--x", "50000"]) == 0
+
+
+def smooth_bytes(cache, work, capsys) -> bytes:
+    assert main(["smooth", "--cache", str(cache), "--m", "3", "--x", "1000000", "--ell", "5"]) == 0
+    return capsys.readouterr().out.encode()
+
+
+def simulate_bytes(cache, work, capsys) -> bytes:
+    assert main(["simulate", "--seed", "11", "--xmax", "1300000", "--out", str(work / "s.stan")]) == 0
+    return (work / "s.stan").read_bytes()
+
+
+def angles_coeffs_bytes(cache, work, capsys) -> bytes:
+    series = load_cache(cache)
+    path = work / "f.coeffs"
+    if not path.exists():  # integer a_p within the Deligne bound, one for every prime of the cache
+        aps = np.trunc(2.0 * np.sqrt(series.primes) * np.cos(series.thetas))
+        write_coeff_file(path, "f", 2, 1, zip(series.primes.tolist(), aps.tolist()))
+    assert main(["angles", "--coeffs", str(path), "--xmax", str(series.x_max), "--out", str(work / "c.stan")]) == 0
+    return (work / "c.stan").read_bytes()
+
+
+def csv_bytes(command):
+    def run(cache, work, capsys) -> bytes:
+        assert main(command(cache, work / "out.csv")) == 0
+        return (work / "out.csv").read_bytes()
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "output",
+    [smooth_bytes, simulate_bytes, angles_coeffs_bytes, csv_bytes(verify_args), csv_bytes(cheb_sums_args)],
+    ids=["smooth", "simulate", "angles-coeffs", "verify", "cheb-sums"],
+)
+def test_node_split_bytes_do_not_depend_on_the_cpu_count(sim_cache, tmp_path, monkeypatch, capsys, output):
+    use_cpus(monkeypatch, 1)
+    expected = output(sim_cache, tmp_path, capsys)  # whole nodes of PAIRWISE_LEAF, one process
+    use_small_nodes(monkeypatch)
+    for cpus in (1, 2, 8):
+        use_cpus(monkeypatch, cpus)
+        assert output(sim_cache, tmp_path, capsys) == expected, cpus
+        assert active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_angle_from_ap_errors_name_the_whole_array(monkeypatch, cpus):
+    use_cpus(monkeypatch, cpus)
+    use_small_nodes(monkeypatch, 128)
+    ps = primes_array(2, 40_000)  # 4203 primes in 45 nodes
+    ap = np.zeros(ps.size)
+    # nodes 15, 17 and 30: the first bad p in array order, ps[1500], lies in a child's share from 2 CPUs on
+    ap[[3000, 1500, 1700]] = 1e6
+    with pytest.raises(DeligneViolation, match=f"at p = {ps[1500]}$"):
+        angle_from_ap(ap, ps, 2)
+    # from weight 200 on, 2 p^99.5 overflows above p = 1252; the bound check comes first and names the largest p
+    with pytest.raises(ValueError, match=f"at weight k = 200, p = {ps[-1]}$"):
+        angle_from_ap(ap, ps, 200)
+    assert np.array_equal(angle_from_ap(ap[:300], ps[:300], 2), np.full(300, math.pi / 2))
+    assert active_children() == []
