@@ -583,24 +583,25 @@ def _cpu_count() -> int:
 _in_share = False
 
 
-def split_map(fn, items, cap: int | None = None) -> list:
+def split_map(fn, items) -> list:
     """[fn(item) for item in items], with the items shared among forked processes.
 
-    W = min(CPUs in the affinity set, len(items), cap) outside a share of
-    another split, and W = 1 inside one, so a split never nests.  With
-    W >= 2 the items are dealt round-robin to W shares: this process
-    computes share 0 while W - 1 forked children compute the others and send
-    them back through a pipe.  A fork passes fn and its data without
-    pickling them, so fn may be a closure; the child rule is that fn is a
-    pure function of its item, returns picklable values and never calls
-    BLAS (whose threads a fork does not copy).  The results come back in
-    item order.  Each share stops at its first Exception, and the failure
-    of the lowest item index is raised, as a serial loop would raise it.  A
-    child that dies raises ChildProcessError, and no child outlives the call.
+    W = min(CPUs in the affinity set, len(items) // 2) outside a share of
+    another split, and W = 1 inside one: every share holds two items at the
+    least, and a split never nests.  With W >= 2 the items are dealt
+    round-robin to W shares: this process computes share 0 while W - 1
+    forked children compute the others and send them back through a pipe.
+    A fork passes fn and its data without pickling them, so fn may be a
+    closure; the child rule is that fn is a pure function of its item,
+    returns picklable values and never calls BLAS (whose threads a fork
+    does not copy).  The results come back in item order.  Each share stops
+    at its first Exception, and the failure of the lowest item index is
+    raised, as a serial loop would raise it.  A child that dies raises
+    ChildProcessError, and no child outlives the call.
     """
     global _in_share
     items = list(items)
-    workers = min(_cpu_count(), len(items), len(items) if cap is None else cap)
+    workers = min(_cpu_count(), len(items) // 2)
     if workers < 2 or _in_share:
         return [fn(item) for item in items]
     ctx = multiprocessing.get_context("fork")
@@ -665,9 +666,10 @@ def ec_ap_array(curve: CurveSpec, primes) -> np.ndarray:
     candidate order (together, across blocks).  Each pass settles a row on
     its own candidates.  Every other prime, and every row still open, goes
     to the scalar ec_ap in this process.  Each pass maps its blocks with
-    split_map, a block's outcome depends on its rows alone, and a_p is
-    exact whatever the path, so the result depends neither on how the
-    primes are split into calls nor on the number of CPUs.
+    split_map, two blocks a share, so a pass forks from four blocks on.  A
+    block's outcome depends on its rows alone, and a_p is exact whatever
+    the path, so the result depends neither on how the primes are split
+    into calls nor on the number of CPUs.
     """
     ps = np.asarray(primes, dtype=np.int64).reshape(-1)
     out = np.empty(ps.size, dtype=np.int64)
@@ -690,7 +692,7 @@ def ec_ap_array(curve: CurveSpec, primes) -> np.ndarray:
         is_open, chi = np.zeros(rows.size, dtype=bool), np.zeros(rows.size, dtype=np.int64)
         size = lockstep_rows(int(ps[rows[-1]])) if rows.size else 1
         starts = range(0, rows.size, size)
-        blocks = split_map(block, starts, cap=rows.size // size)  # forks for two full blocks or more
+        blocks = split_map(block, starts)
         for start, (keys, failed, block_chi) in zip(starts, blocks):
             stop = start + failed.size
             is_open[start + _settle(out, ps, rows[start:stop], keys, failed)] = True

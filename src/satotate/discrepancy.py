@@ -17,9 +17,9 @@ from typing import Iterator
 import numpy as np
 
 from satotate.angles import AngleSeries, angle_from_ap, curve_meta
-from satotate.curves import CurveSpec, _residues, ec_ap, ec_ap_array, lockstep_rows, split_map
+from satotate.curves import CurveSpec, _residues, ec_ap, ec_ap_array, lockstep_rows
 from satotate.errors import DegenerateFit, SatotateError, SearchExceeded
-from satotate.measure import Interval, check_m, cheb_u_rows, cheb_u_table, forks, mu_st, pairwise_sums, st_cdf
+from satotate.measure import Interval, check_m, cheb_u_rows, cheb_u_table, mu_st, pairwise_sums, st_cdf
 from satotate.primes import PrimeRange, prime_count, prime_divisors, primes_in
 
 
@@ -375,27 +375,15 @@ def discrepancy_report(
     count = count_in_interval(thetas, interval)
     expected = mu_st(interval) * pi_x
     u = st_cdf(thetas)  # shared by the exact and the Erdos-Turan columns
-    # from SHARE_FLOOR points on, two shares: the Erdos-Turan column runs in
-    # a forked worker, the other two in this process, where a caller's
-    # tracing of them sees them; errors come in column order
-    exact, et, cheb = split_map(
-        lambda column: column(),
-        (
-            lambda: exact_discrepancy_1d(u),
-            lambda: erdos_turan_bound(u, M),
-            lambda: cheb_sum_bound(thetas, M, pi_x, c_et1),
-        ),
-        cap=2 if forks(thetas.size) else 1,
-    )
     return DiscrepancyReport(
         x=x,
         pi_x=pi_x,
         count=count,
         expected=expected,
         error_abs=abs(count - expected),
-        exact_sup_discrepancy=exact,
-        et_bound=et,
-        cheb_bound=cheb,
+        exact_sup_discrepancy=exact_discrepancy_1d(u),
+        et_bound=erdos_turan_bound(u, M),
+        cheb_bound=cheb_sum_bound(thetas, M, pi_x, c_et1),
     )
 
 

@@ -20,8 +20,6 @@ M_MAX = 512
 
 # pairwise_sums cuts numpy's summation tree at nodes of this many elements (at least numpy's block, 128)
 PAIRWISE_LEAF = 1 << 15
-# a row or a column forks from this many points on; a split of nodes deals two nodes a share at the least
-SHARE_FLOOR = 2 * PAIRWISE_LEAF
 
 # Within this distance of theta in {0, pi} the sine-ratio form loses digits,
 # so evaluation switches to the three-term recurrence in x = cos(theta).
@@ -55,11 +53,6 @@ def st_cdf(theta):
     return (theta - np.sin(2.0 * theta) / 2.0) / math.pi
 
 
-def forks(points: int) -> bool:
-    """Whether a row or a column of this many points is worth a forked share."""
-    return points >= SHARE_FLOOR
-
-
 def pairwise_nodes(n: int, unit: int = 1) -> list[tuple[int, int]]:
     """(start, stop) of the nodes of numpy's pairwise tree over n elements of unit doubles, cut at PAIRWISE_LEAF."""
     if n <= PAIRWISE_LEAF:
@@ -69,9 +62,8 @@ def pairwise_nodes(n: int, unit: int = 1) -> list[tuple[int, int]]:
 
 
 def map_nodes(fn, n: int, unit: int = 1) -> list:
-    """[fn(start, stop) for each of pairwise_nodes(n, unit)], dealt by split_map two nodes a share or more."""
-    nodes = pairwise_nodes(n, unit)
-    return split_map(lambda node: fn(*node), nodes, cap=len(nodes) // 2)
+    """[fn(start, stop) for each of pairwise_nodes(n, unit)], dealt by split_map, two nodes a share at the least."""
+    return split_map(lambda node: fn(*node), pairwise_nodes(n, unit))
 
 
 def pairwise_sums(n: int, leaf, unit: int = 1) -> tuple:

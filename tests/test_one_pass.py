@@ -9,6 +9,8 @@ import math
 import numpy as np
 import pytest
 
+import satotate.curves as curves_module
+import satotate.measure as measure_module
 from satotate.angles import AngleSeries, FormMeta, load_cache, save_cache
 from satotate.cli import main, write_rows
 from satotate.discrepancy import (
@@ -80,6 +82,14 @@ def pairs():
 XS = (1, 2, 3, 12, 100, 27449)
 
 
+@pytest.fixture(params=["one-node", "many-nodes"])
+def nodes(request, monkeypatch):
+    """Whole series in one node, or nodes of 128 elements (numpy's block) dealt to 2 CPUs."""
+    if request.param == "many-nodes":
+        monkeypatch.setattr(measure_module, "PAIRWISE_LEAF", 128)
+        monkeypatch.setattr(curves_module.os, "sched_getaffinity", lambda pid: {0, 1})
+
+
 def test_cheb_u_equals_masked_form():
     rng = np.random.default_rng(5)
     theta = np.concatenate([rng.uniform(0.0, math.pi, 5000), COLLAR_ANGLES])
@@ -92,7 +102,7 @@ def test_cheb_u_equals_masked_form():
             assert same(cheb_u(m, t), cheb_u_masked(m, t)[0])
 
 
-def test_cheb_sum_bound_equals_table_form(pairs):
+def test_cheb_sum_bound_equals_table_form(pairs, nodes):
     for _, series, _ in pairs:
         for x in XS:
             for M in (3, 4, 50):
@@ -101,7 +111,7 @@ def test_cheb_sum_bound_equals_table_form(pairs):
     assert cheb_sum_bound(pairs[2][1].upto(1)[1], 3, pi_of_x(pairs[2][1], 1)) == 0.0  # empty prefix, no ramified primes
 
 
-def test_erdos_turan_bound_equals_copying_form(pairs):
+def test_erdos_turan_bound_equals_copying_form(pairs, nodes):
     for _, series, _ in pairs:
         for x in XS[1:]:  # x = 1 has no points, which both reject
             if not len(series.upto(x)[0]):
@@ -171,7 +181,7 @@ def test_joint_box_discrepancy_equals_loop_form_where_maxima_tie():
             assert same(got, joint_box_discrepancy_loop(s1, s2, x, grid)), (k, grid)
 
 
-def test_cheb_sum_rows_equal_two_call_pair(pairs):
+def test_cheb_sum_rows_equal_two_call_pair(pairs, nodes):
     ms = range(0, 9)
     for _, series, _ in pairs:
         for x in XS[2:]:

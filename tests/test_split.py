@@ -1,4 +1,4 @@
-"""The process split of the analysis rows, the nodes and the lockstep blocks: split_map, and the output bytes under it."""
+"""The process split of the pairwise nodes and the lockstep blocks: split_map, and the output bytes under it."""
 
 import inspect
 import math
@@ -27,9 +27,8 @@ def use_cpus(monkeypatch, n: int) -> None:
 
 
 def use_small_nodes(monkeypatch, leaf: int = 4096) -> None:
-    """Nodes of leaf elements (numpy's block is 128) and a floor of two of them, so a 1e5-point cache splits many ways."""
+    """Nodes of leaf elements (numpy's block is 128), so a 1e5-point cache splits many ways."""
     monkeypatch.setattr(measure_module, "PAIRWISE_LEAF", leaf)
-    monkeypatch.setattr(measure_module, "SHARE_FLOOR", 2 * leaf)
 
 
 def recorder(path):
@@ -90,7 +89,7 @@ def test_split_map_raises_the_first_failure_in_item_order(monkeypatch, tmp_path,
         return i
 
     with pytest.raises(ValueError, match="^item 1$"):  # item 1 lies in a child's share from 2 CPUs on
-        split_map(fn, range(6))
+        split_map(fn, range(16))
     assert active_children() == []
     ran = read()
     if cpus > 1:
@@ -119,10 +118,9 @@ def test_a_split_inside_a_share_runs_in_that_share_only(monkeypatch):
     def outer(i):
         return split_map(lambda j: os.getpid(), range(4))
 
-    first, second = split_map(outer, range(2))
+    first, second, *_ = split_map(outer, range(4))
     assert first == [os.getpid()] * 4  # share 0: the inner split stays in this process
     assert len(set(second)) == 1 and second[0] != os.getpid()  # share 1: in its child alone
-    assert split_map(lambda j: os.getpid(), range(3), cap=1) == [os.getpid()] * 3
     assert active_children() == []
 
 
@@ -152,7 +150,7 @@ def test_an_interrupt_in_the_caller_terminates_the_children(monkeypatch):
 
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        split_map(fn, range(3))
+        split_map(fn, range(6))
     assert time.monotonic() - start < 30
     assert active_children() == []
 
@@ -160,7 +158,7 @@ def test_an_interrupt_in_the_caller_terminates_the_children(monkeypatch):
 def test_a_result_that_does_not_pickle_fails_loudly_in_the_caller(monkeypatch):
     use_cpus(monkeypatch, 2)
     with pytest.raises(ChildProcessError, match="exited with code 1"):
-        split_map(lambda i: (lambda: i), range(2))  # the child's lambda cannot travel back
+        split_map(lambda i: (lambda: i), range(4))  # the child's lambda cannot travel back
     assert active_children() == []
 
 
@@ -214,33 +212,17 @@ def test_M_512_still_runs(sim_cache, tmp_path, command):
     assert active_children() == []
 
 
-def test_cheb_sum_bound_runs_in_the_calling_process(sim_cache, tmp_path, monkeypatch):
-    use_cpus(monkeypatch, 8)
-    monkeypatch.setattr(measure_module, "SHARE_FLOOR", 1)  # x = 1000 holds 168 points, below the floor
-    record, read = recorder(tmp_path / "columns")
-    real_bound, real_et = discrepancy_module.cheb_sum_bound, discrepancy_module.erdos_turan_bound
-
-    def bound(*args):
-        record("bound")
-        return real_bound(*args)
-
-    def et(*args):
-        record("et")
-        return real_et(*args)
-
-    monkeypatch.setattr(discrepancy_module, "cheb_sum_bound", bound)
-    monkeypatch.setattr(discrepancy_module, "erdos_turan_bound", et)
-    assert main(verify_args(sim_cache, tmp_path / "v.csv")) == 0
-    ran = read()
-    assert [pid for tag, pid in ran if tag == "bound"] == [os.getpid()] * 3
-    et_pids = [pid for tag, pid in ran if tag == "et"]
-    assert len(et_pids) == 3 and os.getpid() not in et_pids
-
-
-def test_joint_columns_run_once_per_row_in_the_calling_process(sim_cache, tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "command, names, xs",
+    [
+        (verify_args, ("count_in_interval", "exact_discrepancy_1d", "erdos_turan_bound", "cheb_sum_bound"), 3),
+        (joint_args, ("joint_count", "joint_box_discrepancy", "cheb_sum_bound_2d"), 2),
+    ],
+    ids=["verify", "joint"],
+)
+def test_report_columns_run_once_per_row_in_the_calling_process(sim_cache, tmp_path, monkeypatch, command, names, xs):
     use_cpus(monkeypatch, 8)
     record, read = recorder(tmp_path / "columns")
-    names = ("joint_count", "joint_box_discrepancy", "cheb_sum_bound_2d")
 
     def traced(name):
         real = getattr(discrepancy_module, name)
@@ -253,13 +235,33 @@ def test_joint_columns_run_once_per_row_in_the_calling_process(sim_cache, tmp_pa
 
     for name in names:
         monkeypatch.setattr(discrepancy_module, name, traced(name))
-    assert main(joint_args(sim_cache, tmp_path / "j.csv")) == 0
-    assert sorted(read()) == sorted((name, os.getpid()) for name in names for _ in range(2))  # two x values
+    assert main(command(sim_cache, tmp_path / "out.csv")) == 0
+    assert sorted(read()) == sorted((name, os.getpid()) for name in names for _ in range(xs))
+
+
+def test_cheb_sums_forks_once_per_x(sim_cache, tmp_path, monkeypatch):
+    use_cpus(monkeypatch, 8)
+    use_small_nodes(monkeypatch)
+    record, read = recorder(tmp_path / "splits")
+    real = measure_module.split_map
+
+    def split(fn, items):
+        items = list(items)
+        if len(items) // 2 >= 2:
+            record("fork")
+        return real(fn, items)
+
+    monkeypatch.setattr(measure_module, "split_map", split)
+    assert main(cheb_sums_args(sim_cache, tmp_path / "c.csv")) == 0  # m = 0..10 at x = 1000 and 1300000
+    series = load_cache(sim_cache)
+    forking = [x for x in (1000, 1_300_000) if len(measure_module.pairwise_nodes(series.upto(x)[0].size)) >= 4]
+    assert forking == [1_300_000]
+    assert len(read()) == len(forking)
 
 
 def test_rows_below_the_floor_start_no_process(sim_cache, tmp_path, monkeypatch):
     use_cpus(monkeypatch, 8)
-    assert primes_array(2, 100_000).size < measure_module.SHARE_FLOOR
+    assert primes_array(2, 100_000).size < 2 * measure_module.PAIRWISE_LEAF
 
     def no_fork(*args):
         raise AssertionError("a split below the floor forked")
