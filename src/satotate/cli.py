@@ -82,6 +82,13 @@ def parse_curve(text: str, conductor: int | None, label: str) -> CurveSpec:
         raise UsageError(str(exc)) from exc
 
 
+def reject_unused(args, given: str, *options: str) -> None:
+    """Raise UsageError naming the first of options that is set, since the command ignores it beside given."""
+    for option in options:
+        if getattr(args, option[2:]) is not None:
+            raise UsageError(f"{option} is not used with {given}")
+
+
 def parse_x_list(text: str) -> list[int]:
     try:
         xs = [int(v) for v in text.split(",")]
@@ -124,6 +131,7 @@ def cmd_angles(args) -> int:
         curve = parse_curve(args.curve, args.conductor, args.label or "curve")
         series = build_angle_series(curve, args.xmax)
     elif args.coeffs is not None:
+        reject_unused(args, "--coeffs", "--conductor", "--label")
         series = build_angle_series(args.coeffs, args.xmax)
     else:
         raise UsageError("one of --curve / --coeffs is required")
@@ -183,6 +191,8 @@ def cmd_joint(args) -> int:
 def cmd_least_prime(args) -> int:
     if (args.cache is None) == (args.curve is None):
         raise UsageError("give exactly one of --cache / --curve")
+    if args.cache is not None:
+        reject_unused(args, "--cache", "--conductor", "--label")
     if args.ceiling < 2:
         raise UsageError(f"--ceiling must be >= 2, got {args.ceiling}")
     check_constant("--c", args.c)
@@ -226,6 +236,7 @@ def cmd_smooth(args) -> int:
 
 def cmd_fit(args) -> int:
     if args.csv is not None:
+        reject_unused(args, "--csv", "--xs", "--errors")
         xs, errors = [], []
         try:
             text = Path(args.csv).read_text(encoding="utf-8")

@@ -53,11 +53,16 @@ def st_cdf(theta):
     return (theta - np.sin(2.0 * theta) / 2.0) / math.pi
 
 
+def _half(n: int, unit: int) -> int:
+    """Where np.sum splits a node of n elements of unit doubles (2 for complex128): half its doubles, down to 8."""
+    return n * unit // 16 * 8 // unit
+
+
 def pairwise_nodes(n: int, unit: int = 1) -> list[tuple[int, int]]:
     """(start, stop) of the nodes of numpy's pairwise tree over n elements of unit doubles, cut at PAIRWISE_LEAF."""
     if n <= PAIRWISE_LEAF:
         return [(0, n)]
-    half = n * unit // 16 * 8 // unit
+    half = _half(n, unit)
     return pairwise_nodes(half, unit) + [(half + a, half + b) for a, b in pairwise_nodes(n - half, unit)]
 
 
@@ -69,15 +74,15 @@ def map_nodes(fn, n: int, unit: int = 1) -> list:
 def pairwise_sums(n: int, leaf, unit: int = 1) -> tuple:
     """The tuple of np.sum results that leaf(start, stop) takes on each node, the nodes added in np.sum's order.
 
-    np.sum of a contiguous array adds the halves of a node split at half its doubles, rounded down to 8 (an
-    element is unit doubles, 2 for complex128), so each sum equals np.sum over all n elements bit for bit.
+    np.sum of a contiguous array adds the halves of each node split at _half, the split of pairwise_nodes,
+    so each sum equals np.sum over all n elements bit for bit.
     """
     parts = iter(map_nodes(leaf, n, unit))
 
     def add(size: int) -> tuple:
         if size <= PAIRWISE_LEAF:
             return next(parts)
-        half = size * unit // 16 * 8 // unit
+        half = _half(size, unit)
         return tuple(a + b for a, b in zip(add(half), add(size - half)))  # the left half's nodes come first
 
     return add(n)

@@ -38,45 +38,12 @@ def cheb_prime_sum(series: AngleSeries, m: int, x: int) -> tuple[float, float]:
     ps, thetas = series.upto(x)
     if ps.size == 0:
         return 0.0, 0.0
-    u = cheb_u(m, thetas)
-    return float(np.sum(u)), float(np.sum(u * np.log(ps)))
+    return _sum_rows(ps, x, lambda start, stop: (cheb_u(m, thetas[start:stop]),))[0][:2]
 
 
 def theta_joint(series1: AngleSeries, series2: AngleSeries, m1: int, m2: int, x: int) -> float:
     """Joint weighted sum over primes good for both forms."""
-    ps, t1, t2 = series1.common_good(series2, x)
-    if ps.size == 0:
-        return 0.0
-    return float(np.sum(cheb_u(m1, t1) * cheb_u(m2, t2) * np.log(ps)))
-
-
-def _residual_factors(logp: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray, LONGDOUBLE]:
-    """(log p, 1/log p - 1/log x, log x) in extended precision: the w-free part of a residual."""
-    lx = LONGDOUBLE(math.log(x))
-    logp_ld = logp.astype(LONGDOUBLE)
-    return logp_ld, 1.0 / logp_ld - LONGDOUBLE(1.0) / lx, lx
-
-
-def _residual_sums(w: np.ndarray, logp_ld: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """sum w, sum w log p and sum w log p (1/log p - 1/log x) in extended precision: a residual's three sums."""
-    w_ld = w.astype(LONGDOUBLE)
-    lhs = np.sum(w_ld)
-    # in place, in the order of the plain expressions: a row holds one long-double node, not three
-    terms = np.multiply(w_ld, logp_ld, out=w_ld)
-    return np.array([lhs, np.sum(terms), np.sum(np.multiply(terms, factor, out=terms))])
-
-
-def _residual(sums: np.ndarray, lx: LONGDOUBLE) -> float:
-    """|LHS - RHS| of the partial-summation identity, from a whole row's _residual_sums.
-
-    LHS is sum w_p; RHS routes through theta(x)/log x minus the integral of
-    theta(t)/(t log^2 t), which the step structure of theta collapses to
-    sum w_p log p (1/log p - 1/log x).  The two paths are algebraically
-    identical, so the returned value is pure floating-point noise; sums are
-    accumulated in extended precision to keep it far below 1e-9 relative.
-    """
-    lhs, weighted, integral = sums
-    return float(abs(lhs - (weighted / lx + integral)))
+    return _joint_sums(series1, series2, m1, m2, x)[1]
 
 
 def partial_summation_residual(series: AngleSeries, m: int, x: int) -> float:
@@ -84,17 +51,18 @@ def partial_summation_residual(series: AngleSeries, m: int, x: int) -> float:
     return cheb_sum_rows(series, [m], x)[0][3]
 
 
+def partial_summation_residual_joint(series1: AngleSeries, series2: AngleSeries, m1: int, m2: int, x: int) -> float:
+    """Residual of the joint partial-summation identity."""
+    if x < 3:
+        raise ValueError("x must be >= 3")
+    return _joint_sums(series1, series2, m1, m2, x)[2]
+
+
 def cheb_sum_rows(series: AngleSeries, ms, x: int) -> list[tuple[int, float, float, float]]:
     """(m, sum_plain, sum_weighted, residual) for each m in ms, at one x.
 
-    The sums of each row equal cheb_prime_sum(series, m, x) bit for bit.
-    One pairwise_sums pass per x takes every row's five sums node by node:
-    a node builds one ChebU of its slice and returns the sums of each m as
-    a (len(ms), 2) float64 and a (len(ms), 3) long-double array, which the
-    pass adds element by element.  log p and the extended-precision factor
-    1/log p - 1/log x are made once per x.  The nodes go to forked
-    processes (map_nodes), so the rows do not depend on the CPU count.
-    x < 3 raises ValueError unless ms is empty.
+    One _sum_rows pass per x: each node builds one ChebU of its slice and
+    yields U_m one m at a time.  x < 3 raises ValueError unless ms is empty.
     """
     ms = list(ms)
     ps, thetas = series.upto(x)
@@ -107,34 +75,49 @@ def cheb_sum_rows(series: AngleSeries, ms, x: int) -> list[tuple[int, float, flo
         check_m(m)
         if x < 3:
             raise ValueError("x must be >= 3")
-    logp = np.log(ps)
-    logp_ld, factor, lx = _residual_factors(logp, x)
-
-    def node(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        cheb = ChebU(thetas[start:stop])
-        plain = np.empty((len(ms), 2))
-        residual = np.empty((len(ms), 3), dtype=LONGDOUBLE)
-        for i, m in enumerate(ms):
-            u = cheb(m)
-            plain[i] = np.sum(u), np.sum(u * logp[start:stop])
-            residual[i] = _residual_sums(u, logp_ld[start:stop], factor[start:stop])
-        return plain, residual
-
-    plain, residual = pairwise_sums(ps.size, node)
-    return [(m, float(p[0]), float(p[1]), _residual(r, lx)) for m, p, r in zip(ms, plain, residual)]
+    sums = _sum_rows(ps, x, lambda start, stop: map(ChebU(thetas[start:stop]), ms))
+    return [(m, *row) for m, row in zip(ms, sums)]
 
 
-def partial_summation_residual_joint(
-    series1: AngleSeries, series2: AngleSeries, m1: int, m2: int, x: int
-) -> float:
-    """Residual of the joint partial-summation identity."""
-    if x < 3:
-        raise ValueError("x must be >= 3")
+def _joint_sums(series1: AngleSeries, series2: AngleSeries, m1: int, m2: int, x: int) -> tuple:
+    """_sum_rows of the one row U_m1(cos theta_p) U_m2(cos theta_p), an angle of each form, at common good p."""
     ps, t1, t2 = series1.common_good(series2, x)
     if ps.size == 0:
-        return 0.0
-    logp_ld, factor, lx = _residual_factors(np.log(ps), x)
-    return _residual(_residual_sums(cheb_u(m1, t1) * cheb_u(m2, t2), logp_ld, factor), lx)
+        return 0.0, 0.0, 0.0
+    return _sum_rows(ps, x, lambda start, stop: (cheb_u(m1, t1[start:stop]) * cheb_u(m2, t2[start:stop]),))[0]
+
+
+def _sum_rows(ps: np.ndarray, x: int, rows) -> list[tuple[float, float, float]]:
+    """(sum u, sum u log p, residual) of each weight row u over the primes ps <= x: the prime sums' one pass.
+
+    rows(start, stop) yields each row's u on the node ps[start:stop], one array at a time.  The
+    residual is |LHS - RHS| of the partial-summation identity: LHS is sum u_p; RHS routes through
+    theta(x)/log x minus the integral of theta(t)/(t log^2 t), which the step structure of theta
+    collapses to sum u_p log p (1/log p - 1/log x).  The two paths are algebraically identical, so the
+    residual is pure floating-point noise; its three sums are taken in extended precision to keep it
+    far below 1e-9 relative.  log p, its long-double copy and 1/log p - 1/log x are made once per call.
+    Every sum is taken node by node (pairwise_sums), the nodes in forked processes (map_nodes), so it
+    equals np.sum over the whole row bit for bit on any CPU count.
+    """
+    logp = np.log(ps)
+    lx = LONGDOUBLE(math.log(x))
+    logp_ld = logp.astype(LONGDOUBLE)
+    factor = 1.0 / logp_ld - LONGDOUBLE(1.0) / lx
+
+    def node(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        plain, extended = [], []
+        for u in rows(start, stop):
+            plain.append((np.sum(u), np.sum(u * logp[start:stop])))
+            w = u.astype(LONGDOUBLE)
+            lhs = np.sum(w)
+            # in place, in the order of the plain expressions: a row holds one long-double node, not three
+            terms = np.multiply(w, logp_ld[start:stop], out=w)
+            extended.append((lhs, np.sum(terms), np.sum(np.multiply(terms, factor[start:stop], out=terms))))
+        return np.array(plain), np.array(extended, dtype=LONGDOUBLE)
+
+    plain, extended = pairwise_sums(ps.size, node)
+    return [(float(p), float(q), float(abs(lhs - (weighted / lx + integral))))
+            for (p, q), (lhs, weighted, integral) in zip(plain, extended)]
 
 
 def _fold(angle):

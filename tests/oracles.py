@@ -228,3 +228,21 @@ def cheb_prime_sum_pair(series: AngleSeries, m: int, x: int) -> tuple[float, flo
     if ps.size == 0:
         return plain, weighted, 0.0
     return plain, weighted, _residual_from_terms(cheb_u_masked(m, thetas), np.log(ps), x)
+
+
+def theta_joint_whole(series1: AngleSeries, series2: AngleSeries, m1: int, m2: int, x: int) -> float:
+    """theta_joint by one np.sum over the whole row of the intersect1d join."""
+    ps, t1, t2 = common_good_intersect1d(series1, series2, x)
+    if ps.size == 0:
+        return 0.0
+    return float(np.sum(cheb_u_masked(m1, t1) * cheb_u_masked(m2, t2) * np.log(ps)))
+
+
+def partial_summation_residual_joint_whole(series1: AngleSeries, series2: AngleSeries, m1: int, m2: int, x: int):
+    """partial_summation_residual_joint by long-double np.sums over the whole row of the intersect1d join."""
+    if x < 3:
+        raise ValueError("x must be >= 3")
+    ps, t1, t2 = common_good_intersect1d(series1, series2, x)
+    if ps.size == 0:
+        return 0.0
+    return _residual_from_terms(cheb_u_masked(m1, t1) * cheb_u_masked(m2, t2), np.log(ps), x)

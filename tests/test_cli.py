@@ -110,6 +110,19 @@ def test_angles_coeff_source_equal(tmp_path, cache_11a1):
     assert same_points(load_cache(out), series)
 
 
+@pytest.mark.parametrize("option, value", [("--conductor", "11"), ("--label", "11a1")])
+def test_angles_coeffs_rejects_an_unused_option(tmp_path, capsys, option, value):
+    from satotate.angles import write_coeff_file
+
+    coeffs = tmp_path / "c.coeffs"
+    write_coeff_file(coeffs, "11a1", 2, 11, [(2, -2), (3, -1), (5, 1)])
+    out = tmp_path / "x.stan"
+    assert main(["angles", "--coeffs", str(coeffs), option, value, "--xmax", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {option} is not used with --coeffs\n"
+    assert not out.exists()
+    assert main(["angles", "--coeffs", str(coeffs), "--xmax", "5", "--out", str(out)]) == 0
+
+
 def test_verify_csv_and_json_equal(cache_11a1, tmp_path):
     csv_out = tmp_path / "v.csv"
     json_out = tmp_path / "v.json"
@@ -242,6 +255,13 @@ def test_least_prime_needs_exactly_one_source(cache_11a1, capsys):
         assert "give exactly one of --cache / --curve" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value", [("--conductor", "11"), ("--label", "11a1")])
+def test_least_prime_cache_rejects_an_unused_option(cache_11a1, capsys, option, value):
+    assert main(["least-prime", "--cache", str(cache_11a1), option, value, "--interval", "half"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {option} is not used with --cache\n"
+
+
 def test_least_prime_rejects_a_ceiling_below_2(cache_11a1, capsys):
     for source in (["--cache", str(cache_11a1)], ["--curve", "0,-1,1,-10,-20", "--conductor", "11"]):
         assert main(["least-prime", *source, "--interval", "half", "--ceiling", "1"]) == 2
@@ -334,6 +354,16 @@ def test_fit_from_csv(cache_11a1, tmp_path, capsys):
     rc = main(["fit", "--csv", str(csv_out), "--err-col", "et_bound"])
     assert rc == 0
     assert "slope" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("option, value", [("--xs", "10,100"), ("--errors", "0.1,0.01")])
+def test_fit_csv_rejects_an_unused_option(tmp_path, capsys, option, value):
+    csv_in = tmp_path / "e.csv"
+    csv_in.write_text("x,error_abs\n10,0.1\n100,0.01\n1000,0.001\n")
+    assert main(["fit", "--csv", str(csv_in), option, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {option} is not used with --csv\n"
+    assert main(["fit", "--csv", str(csv_in)]) == 0
 
 
 @pytest.mark.parametrize("flag", ["--err-col", "--x-col"])

@@ -28,7 +28,13 @@ from satotate.discrepancy import (
 )
 from satotate.errors import RangeExceeded
 from satotate.measure import ENDPOINT_COLLAR, ChebU, Interval, cheb_u, mu_st, st_cdf, st_quantile
-from satotate.prime_sums import cheb_prime_sum, cheb_sum_rows, partial_summation_residual
+from satotate.prime_sums import (
+    cheb_prime_sum,
+    cheb_sum_rows,
+    partial_summation_residual,
+    partial_summation_residual_joint,
+    theta_joint,
+)
 
 from oracles import (
     cheb_prime_sum_pair,
@@ -39,7 +45,9 @@ from oracles import (
     erdos_turan_bound_copying,
     joint_box_discrepancy_loop,
     joint_count_intersect1d,
+    partial_summation_residual_joint_whole,
     synthetic_series,
+    theta_joint_whole,
 )
 
 # angles inside the collar of 0 and of pi, on both sides of its edge
@@ -194,6 +202,27 @@ def test_cheb_sum_rows_equal_two_call_pair(pairs, nodes):
     late = pairs[0][1]
     late = AngleSeries(late.meta, late.x_max, late.primes[5:], late.thetas[5:])  # first prime 13
     assert cheb_sum_rows(late, ms, 12) == [(m, 0.0, 0.0, 0.0) for m in ms]  # empty prefix
+
+
+def test_cheb_prime_sum_at_2_is_the_first_term(pairs):
+    series = pairs[0][1]
+    theta_2 = series.thetas[0]
+    for m in (0, 1, 5, 512):
+        u = cheb_u_masked(m, theta_2)[0]
+        assert same(cheb_prime_sum(series, m, 2), (u, u * math.log(2)))  # x = 2 does not raise
+
+
+def test_joint_sums_equal_whole_array_forms(pairs, nodes):
+    for _, s1, s2 in pairs:
+        for x in XS:
+            for m1, m2 in ((0, 0), (3, 0), (1, 7), (20, 2)):
+                assert same(theta_joint(s1, s2, m1, m2, x), theta_joint_whole(s1, s2, m1, m2, x))
+                if x < 3:
+                    with pytest.raises(ValueError, match="x must be >= 3"):
+                        partial_summation_residual_joint(s1, s2, m1, m2, x)
+                    continue
+                got = partial_summation_residual_joint(s1, s2, m1, m2, x)
+                assert same(got, partial_summation_residual_joint_whole(s1, s2, m1, m2, x))
 
 
 def test_cheb_sum_rows_errors_match_two_call_pair(pairs):
