@@ -1,8 +1,9 @@
 """Command-line front end: build caches, run verification campaigns, emit CSV/JSON.
 
-Exit codes: 0 success, 2 usage/domain error, 3 I/O error.  Output files
-never contain timestamps, so a command's output is byte-identical across
-runs and CPU counts.
+Every refusal raises; ``main`` alone prints it (``error: ...``) and exits 3 on
+an OSError or FormatError, 2 on any other SatotateError or ValueError.  Options
+are checked before any cache is read, but for cheb-sums' x >= 3.  Outputs hold
+no timestamps, so they are byte-identical across runs and CPU counts.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from satotate.discrepancy import (
     DEFAULT_GRH_LEAST_PRIME_C,
     DEFAULT_SEARCH_CEILING,
     check_constant,
+    check_grid,
     discrepancy_report,
     fit_decay_exponent,
     joint_report,
@@ -46,56 +48,57 @@ INTERVAL_PRESETS = {
 }
 
 
-class UsageError(Exception):
-    pass
-
-
 def parse_interval(text: str) -> Interval:
     """'alpha:beta' in radians, or a named preset (half, middle)."""
     if text in INTERVAL_PRESETS:
         return Interval(*INTERVAL_PRESETS[text])
     parts = text.split(":")
     if len(parts) != 2:
-        raise UsageError(f"interval must be 'alpha:beta' or one of {sorted(INTERVAL_PRESETS)}")
+        raise ValueError(f"interval must be 'alpha:beta' or one of {sorted(INTERVAL_PRESETS)}")
     try:
         alpha, beta = float(parts[0]), float(parts[1])
     except ValueError as exc:
-        raise UsageError(f"bad interval {text!r}: {exc}") from exc
-    try:
-        return Interval(alpha, beta)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError(f"bad interval {text!r}: {exc}") from exc
+    return Interval(alpha, beta)
 
 
 def parse_curve(text: str, conductor: int | None, label: str) -> CurveSpec:
     try:
         coeffs = [int(c) for c in text.split(",")]
     except ValueError as exc:
-        raise UsageError(f"bad curve coefficients {text!r}") from exc
+        raise ValueError(f"bad curve coefficients {text!r}") from exc
     if len(coeffs) != 5:
-        raise UsageError("curve needs exactly 5 coefficients a1,a2,a3,a4,a6")
+        raise ValueError("curve needs exactly 5 coefficients a1,a2,a3,a4,a6")
     if conductor is None:
-        raise UsageError("--conductor is required with --curve")
-    try:
-        return CurveSpec(*coeffs, conductor=conductor, label=label)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError("--conductor is required with --curve")
+    return CurveSpec(*coeffs, conductor=conductor, label=label)
 
 
 def reject_unused(args, given: str, *options: str) -> None:
-    """Raise UsageError naming the first of options that is set, since the command ignores it beside given."""
+    """Raise ValueError naming the first of options that is set, since the command ignores it beside given."""
     for option in options:
-        if getattr(args, option[2:]) is not None:
-            raise UsageError(f"{option} is not used with {given}")
+        if getattr(args, option[2:].replace("-", "_")) is not None:
+            raise ValueError(f"{option} is not used with {given}")
+
+
+def curve_or_path(args, option: str) -> CurveSpec | str:
+    """The path given as option, or the curve of --curve: exactly one of the two."""
+    path = getattr(args, option[2:])
+    if (path is None) == (args.curve is None):
+        raise ValueError(f"give exactly one of {option} / --curve")
+    if path is not None:
+        reject_unused(args, option, "--conductor", "--label")
+        return path
+    return parse_curve(args.curve, args.conductor, args.label or "curve")
 
 
 def parse_x_list(text: str) -> list[int]:
     try:
         xs = [int(v) for v in text.split(",")]
     except ValueError as exc:
-        raise UsageError(f"bad x list {text!r}") from exc
+        raise ValueError(f"bad x list {text!r}") from exc
     if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise UsageError("x values must be strictly ascending")
+        raise ValueError("x values must be strictly ascending")
     return xs
 
 
@@ -107,8 +110,7 @@ def write_rows(rows: list[dict], fmt: str, out, command: str) -> None:
         for row in rows
     ]
     if fmt == "csv":
-        lines = [f"# {CSV_VERSION} command={command} columns={','.join(columns)}"]
-        lines.append(",".join(columns))
+        lines = [f"# {CSV_VERSION} command={command} columns={','.join(columns)}", ",".join(columns)]
         for row in rows:
             lines.append(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in columns))
         text = "\n".join(lines) + "\n"
@@ -124,17 +126,8 @@ def write_rows(rows: list[dict], fmt: str, out, command: str) -> None:
 
 
 def cmd_angles(args) -> int:
-    if args.curve is not None and args.coeffs is not None:
-        raise UsageError("give exactly one of --curve / --coeffs")
     t0 = time.time()
-    if args.curve is not None:
-        curve = parse_curve(args.curve, args.conductor, args.label or "curve")
-        series = build_angle_series(curve, args.xmax)
-    elif args.coeffs is not None:
-        reject_unused(args, "--coeffs", "--conductor", "--label")
-        series = build_angle_series(args.coeffs, args.xmax)
-    else:
-        raise UsageError("one of --curve / --coeffs is required")
+    series = build_angle_series(curve_or_path(args, "--coeffs"), args.xmax)
     save_cache(series, args.out)
     print(f"wrote {args.out}: {len(series)} points to x_max={series.x_max} "
           f"in {time.time() - t0:.2f}s")
@@ -144,7 +137,7 @@ def cmd_angles(args) -> int:
 def cmd_simulate(args) -> int:
     """Synthetic series: angles drawn i.i.d. from the Sato-Tate measure."""
     if args.xmax < 2:
-        raise UsageError("x_max must be >= 2")
+        raise ValueError("x_max must be >= 2")
     rng = np.random.default_rng(args.seed)
     ps = primes_array(2, args.xmax)
     thetas = st_quantile(rng.uniform(0.0, 1.0, ps.size))
@@ -157,18 +150,17 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     for option, value in (("--c-et1", args.c_et1), ("--c-st1", args.c_st1), ("--c-grh", args.c_grh)):
         check_constant(option, value)
-    series = load_cache(args.cache)
     interval = parse_interval(args.interval)
+    xs = parse_x_list(args.x)
+    check_m(args.M, 1, "M")
+    series = load_cache(args.cache)
+    k, q = series.meta.weight_k, series.meta.level_q
     rows = []
-    for x in parse_x_list(args.x):
+    for x in xs:
         rep = discrepancy_report(series, interval, x, M=args.M, c_et1=args.c_et1)
         row = asdict(rep)
-        row["st1_curve"] = theoretical_bound_curve(
-            x, series.meta.weight_k, series.meta.level_q, "unconditional-st1", args.c_st1, pi_x=rep.pi_x
-        )
-        row["grh_curve"] = theoretical_bound_curve(
-            x, series.meta.weight_k, series.meta.level_q, "grh-thm13", args.c_grh
-        )
+        row["st1_curve"] = theoretical_bound_curve(x, k, q, "unconditional-st1", args.c_st1, pi_x=rep.pi_x)
+        row["grh_curve"] = theoretical_bound_curve(x, k, q, "grh-thm13", args.c_grh)
         rows.append(row)
     write_rows(rows, args.format, args.out, "verify")
     return 0
@@ -176,31 +168,26 @@ def cmd_verify(args) -> int:
 
 def cmd_joint(args) -> int:
     check_constant("--c-et2", args.c_et2)
-    s1 = load_cache(args.cache1)
-    s2 = load_cache(args.cache2)
     i1 = parse_interval(args.interval1)
     i2 = parse_interval(args.interval2)
-    rows = [
-        asdict(joint_report(s1, s2, i1, i2, x, M=args.M, grid=args.grid, c_et2=args.c_et2))
-        for x in parse_x_list(args.x)
-    ]
+    xs = parse_x_list(args.x)
+    check_m(args.M, 3, "M")
+    check_grid(args.grid)
+    s1 = load_cache(args.cache1)
+    s2 = load_cache(args.cache2)
+    rows = [asdict(joint_report(s1, s2, i1, i2, x, M=args.M, grid=args.grid, c_et2=args.c_et2)) for x in xs]
     write_rows(rows, args.format, args.out, "joint")
     return 0
 
 
 def cmd_least_prime(args) -> int:
-    if (args.cache is None) == (args.curve is None):
-        raise UsageError("give exactly one of --cache / --curve")
-    if args.cache is not None:
-        reject_unused(args, "--cache", "--conductor", "--label")
+    source = curve_or_path(args, "--cache")
     if args.ceiling < 2:
-        raise UsageError(f"--ceiling must be >= 2, got {args.ceiling}")
+        raise ValueError(f"--ceiling must be >= 2, got {args.ceiling}")
     check_constant("--c", args.c)
     interval = parse_interval(args.interval)
     if args.cache is not None:
-        source = load_cache(args.cache)
-    else:
-        source = parse_curve(args.curve, args.conductor, args.label or "curve")
+        source = load_cache(source)
     result = least_prime_in_interval(source, interval, ceiling=args.ceiling, c=args.c)
     print(f"{result.p} (grh-shape ceiling {result.grh_ceiling})")
     return 0
@@ -209,13 +196,14 @@ def cmd_least_prime(args) -> int:
 def cmd_cheb_sums(args) -> int:
     m_min = args.m if args.m_min is None else args.m_min
     if m_min > args.m:
-        raise UsageError(f"--m-min {m_min} exceeds --m {args.m}")
+        raise ValueError(f"--m-min {m_min} exceeds --m {args.m}")
     check_m(m_min)  # both ends, before the range of m is listed
     check_m(args.m)
+    xs = parse_x_list(args.x)
     series = load_cache(args.cache)
     rows = [
         {"m": m, "x": x, "sum_plain": plain, "sum_weighted": weighted, "partial_summation_residual": residual}
-        for x in parse_x_list(args.x)
+        for x in xs
         for m, plain, weighted, residual in prime_sums.cheb_sum_rows(series, range(m_min, args.m + 1), x)
     ]
     write_rows(rows, args.format, args.out, "cheb-sums")
@@ -223,8 +211,9 @@ def cmd_cheb_sums(args) -> int:
 
 
 def cmd_smooth(args) -> int:
-    series = load_cache(args.cache)
     weight = prime_sums.SmoothingWeight(args.x, args.ell, args.eps)
+    check_m(args.m)
+    series = load_cache(args.cache)
     value = prime_sums.smoothed_psi(series, args.m, weight)
     phi0 = prime_sums.weight_laplace(weight, 0.0).real
     print(
@@ -237,12 +226,10 @@ def cmd_smooth(args) -> int:
 def cmd_fit(args) -> int:
     if args.csv is not None:
         reject_unused(args, "--csv", "--xs", "--errors")
+        x_col = "x" if args.x_col is None else args.x_col
+        err_col = "error_abs" if args.err_col is None else args.err_col
         xs, errors = [], []
-        try:
-            text = Path(args.csv).read_text(encoding="utf-8")
-        except OSError as exc:
-            print(f"cannot read {args.csv}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        text = Path(args.csv).read_text(encoding="utf-8")
         header = None
         for line in text.splitlines():
             if not line or line.startswith("#"):
@@ -250,18 +237,19 @@ def cmd_fit(args) -> int:
             parts = line.split(",")
             if header is None:
                 header = parts
-                for col in (args.x_col, args.err_col):
+                for col in (x_col, err_col):
                     if col not in header:
-                        raise UsageError(f"{args.csv}: no column {col!r} in header {','.join(header)}")
+                        raise ValueError(f"{args.csv}: no column {col!r} in header {','.join(header)}")
                 continue
             if len(parts) != len(header):
-                raise UsageError(f"{args.csv}: row {line!r} does not match header {','.join(header)}")
+                raise ValueError(f"{args.csv}: row {line!r} does not match header {','.join(header)}")
             row = dict(zip(header, parts))
-            xs.append(float(row[args.x_col]))
-            errors.append(float(row[args.err_col]))
+            xs.append(float(row[x_col]))
+            errors.append(float(row[err_col]))
     else:
         if args.xs is None or args.errors is None:
-            raise UsageError("give --csv or both --xs and --errors")
+            raise ValueError("give --csv or both --xs and --errors")
+        reject_unused(args, "--xs", "--x-col", "--err-col")
         xs = [float(v) for v in args.xs.split(",")]
         errors = [float(v) for v in args.errors.split(",")]
     slope, intercept = fit_decay_exponent(xs, errors)
@@ -278,12 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sato-Tate angle statistics: caches, discrepancy reports, prime sums.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    curve = argparse.ArgumentParser(add_help=False)  # the options of a --curve source
+    curve.add_argument("--curve", help="a1,a2,a3,a4,a6 of a long Weierstrass model")
+    curve.add_argument("--conductor", type=int, help="conductor of the --curve model")
+    curve.add_argument("--label", help="name of the --curve model in messages")
 
-    p = sub.add_parser("angles", help="build an angle cache from a curve or coefficient file")
-    p.add_argument("--curve", help="a1,a2,a3,a4,a6 of a long Weierstrass model")
-    p.add_argument("--conductor", type=int)
+    p = sub.add_parser("angles", parents=[curve], help="build an angle cache from a curve or coefficient file")
     p.add_argument("--coeffs", help="path of a coefficient file")
-    p.add_argument("--label", default=None)
     p.add_argument("--xmax", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_angles)
@@ -319,11 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_joint)
 
-    p = sub.add_parser("least-prime", help="least good prime with theta_p in the interval")
+    p = sub.add_parser("least-prime", parents=[curve], help="least good prime with theta_p in the interval")
     p.add_argument("--cache")
-    p.add_argument("--curve")
-    p.add_argument("--conductor", type=int)
-    p.add_argument("--label", default=None)
     p.add_argument("--interval", required=True)
     p.add_argument("--ceiling", type=int, default=DEFAULT_SEARCH_CEILING)
     p.add_argument("--c", type=float, default=DEFAULT_GRH_LEAST_PRIME_C)
@@ -348,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="least-squares decay exponent of log(error) vs log(x)")
     p.add_argument("--csv", help="CSV produced by verify/joint")
-    p.add_argument("--x-col", dest="x_col", default="x")
-    p.add_argument("--err-col", dest="err_col", default="error_abs")
+    p.add_argument("--x-col", dest="x_col", help="column of x with --csv (default: x)")
+    p.add_argument("--err-col", dest="err_col", help="column of the errors with --csv (default: error_abs)")
     p.add_argument("--xs", help="comma-separated x values")
     p.add_argument("--errors", help="comma-separated errors")
     p.set_defaults(func=cmd_fit)
@@ -362,20 +348,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SatotateError as exc:
-        # format/truncation problems are I/O; everything else is a domain error
-        code = EXIT_IO if isinstance(exc, FormatError) else EXIT_USAGE
-        print(f"error: {exc}", file=sys.stderr)
-        return code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (FormatError, OSError) as exc:  # a malformed file is an I/O error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (SatotateError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -144,7 +144,8 @@ def cheb_sum_bound_2d(
 GRID_MAX = 256
 
 
-def _check_grid(grid: int) -> None:
+def check_grid(grid: int) -> None:
+    """Raise ValueError unless 2 <= grid <= GRID_MAX: the one range check of joint's box grid."""
     if grid < 2:
         raise ValueError("grid must be >= 2")
     if grid > GRID_MAX:
@@ -162,7 +163,7 @@ def joint_box_discrepancy(t1: np.ndarray, t2: np.ndarray, grid: int = 64) -> flo
     integer.  The float |count/n - area| is taken on the u-ranges of top score: its
     rounding stays below half the gap 1/(n G^2) between exact values while n G^2 < 2^48.
     """
-    _check_grid(grid)
+    check_grid(grid)
     n = t1.size
     if n == 0:
         return 0.0
@@ -398,7 +399,7 @@ def joint_report(
     c_et2: float = DEFAULT_ET_CONSTANT,
 ) -> JointReport:
     check_m(M, 3, "M")  # before any column runs
-    _check_grid(grid)
+    check_grid(grid)
     pi_x = pi_of_x(series1, x)
     t1, t2 = series1.common_good(series2, x)[1:]  # shared by every column; the primes are not kept
     jc = joint_count(t1, t2, i1, i2)

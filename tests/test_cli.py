@@ -123,6 +123,14 @@ def test_angles_coeffs_rejects_an_unused_option(tmp_path, capsys, option, value)
     assert main(["angles", "--coeffs", str(coeffs), "--xmax", "5", "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("sources", [[], ["--coeffs", "c.coeffs", "--curve", "0,-1,1,-10,-20", "--conductor", "11"]])
+def test_angles_needs_exactly_one_source(tmp_path, capsys, sources):
+    out = tmp_path / "x.stan"
+    assert main(["angles", *sources, "--xmax", "100", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: give exactly one of --coeffs / --curve\n")
+    assert not out.exists()
+
+
 def test_verify_csv_and_json_equal(cache_11a1, tmp_path):
     csv_out = tmp_path / "v.csv"
     json_out = tmp_path / "v.json"
@@ -184,6 +192,25 @@ def test_verify_range_exceeded(cache_11a1):
 
 def test_verify_missing_cache(tmp_path):
     assert main(["verify", "--cache", str(tmp_path / "no.stan"), "--interval", "half", "--x", "10"]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("verify --cache {c} --interval bogus --x 10", "interval must be 'alpha:beta'"),
+        ("verify --cache {c} --interval half --x 10,5", "x values must be strictly ascending"),
+        ("verify --cache {c} --interval half --x 10 --M 513", "M must be <= 512"),
+        ("joint --cache1 {c} --cache2 {c} --interval1 half --interval2 2:1 --x 10", "alpha <= beta"),
+        ("joint --cache1 {c} --cache2 {c} --interval1 half --interval2 half --x 10 --grid 1", "grid must be >= 2"),
+        ("cheb-sums --cache {c} --m 1 --x ten", "bad x list 'ten'"),
+        ("smooth --cache {c} --m 0 --x 100 --ell 15", "ell must lie in [1, 14]"),
+        ("smooth --cache {c} --m 513 --x 100", "m must be <= 512"),
+    ],
+)
+def test_options_are_checked_before_the_cache_is_read(tmp_path, capsys, argv, message):
+    assert main(argv.format(c=tmp_path / "missing.stan").split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err
 
 
 def test_verify_corrupt_cache(tmp_path, cache_11a1):
@@ -364,6 +391,19 @@ def test_fit_csv_rejects_an_unused_option(tmp_path, capsys, option, value):
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {option} is not used with --csv\n"
     assert main(["fit", "--csv", str(csv_in)]) == 0
+
+
+@pytest.mark.parametrize("option", ["--x-col", "--err-col"])
+def test_fit_xs_rejects_an_unused_option(capsys, option):
+    assert main(["fit", "--xs", "10,100,1000", "--errors", "0.1,0.01,0.001", option, "nonsense"]) == 2
+    assert capsys.readouterr() == ("", f"error: {option} is not used with --xs\n")
+
+
+def test_fit_csv_missing_file_exits_3(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert main(["fit", "--csv", str(missing)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and str(missing) in err
 
 
 @pytest.mark.parametrize("flag", ["--err-col", "--x-col"])
