@@ -20,7 +20,7 @@ import numpy as np
 
 from satotate.curves import CurveSpec, ec_ap_array
 from satotate.errors import DeligneViolation, FormatError, MissingPrime, RangeExceeded
-from satotate.measure import map_nodes
+from satotate.measure import check_least, map_nodes
 from satotate.primes import prime_divisors, primes_array
 
 DELIGNE_SLACK = 1e-12
@@ -48,8 +48,7 @@ class FormMeta:
             raise ValueError("weight must be an even integer >= 2")
         if self.weight_k >= 1 << 32:
             raise ValueError(f"weight {self.weight_k} must be below 2^32")
-        if self.level_q < 1:
-            raise ValueError("level must be >= 1")
+        check_least(self.level_q, 1, "level")
         if self.level_q >= 1 << 64:
             raise ValueError(f"level {self.level_q} must be below 2^64")
 
@@ -158,8 +157,7 @@ def build_angle_series(source: "CurveSpec | str | Path", x_max: int) -> AngleSer
     path of a coefficient file.  Curve a_p come from one ec_ap_array call
     and are exact, so the output is a pure function of (source, x_max).
     """
-    if x_max < 2:
-        raise ValueError("x_max must be >= 2")
+    check_least(x_max, 2, "x_max")
     if isinstance(source, (str, Path)):
         return _series_from_coeff_file(Path(source), x_max)
 

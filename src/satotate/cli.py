@@ -2,8 +2,8 @@
 
 Every refusal raises; ``main`` alone prints it (``error: ...``) and exits 3 on
 an OSError or FormatError, 2 on any other SatotateError or ValueError.  Options
-are checked before any cache is read, but for cheb-sums' x >= 3.  Outputs hold
-no timestamps, so they are byte-identical across runs and CPU counts.
+are checked before any cache is read.  Outputs hold no timestamps, so they are
+byte-identical across runs and CPU counts.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from satotate.discrepancy import (
     theoretical_bound_curve,
 )
 from satotate.errors import FormatError, SatotateError
-from satotate.measure import Interval, check_m, st_quantile
+from satotate.measure import Interval, check_least, check_m, check_x, mu_st, st_quantile
 from satotate.primes import primes_array
 
 CSV_VERSION = "satotate-csv v1"
@@ -126,18 +126,17 @@ def write_rows(rows: list[dict], fmt: str, out, command: str) -> None:
 
 
 def cmd_angles(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     series = build_angle_series(curve_or_path(args, "--coeffs"), args.xmax)
     save_cache(series, args.out)
     print(f"wrote {args.out}: {len(series)} points to x_max={series.x_max} "
-          f"in {time.time() - t0:.2f}s")
+          f"in {time.perf_counter() - t0:.2f}s")
     return 0
 
 
 def cmd_simulate(args) -> int:
     """Synthetic series: angles drawn i.i.d. from the Sato-Tate measure."""
-    if args.xmax < 2:
-        raise ValueError("x_max must be >= 2")
+    check_least(args.xmax, 2, "x_max")
     rng = np.random.default_rng(args.seed)
     ps = primes_array(2, args.xmax)
     thetas = st_quantile(rng.uniform(0.0, 1.0, ps.size))
@@ -152,7 +151,8 @@ def cmd_verify(args) -> int:
         check_constant(option, value)
     interval = parse_interval(args.interval)
     xs = parse_x_list(args.x)
-    check_m(args.M, 1, "M")
+    check_x(xs[0])  # the least x: the list ascends
+    check_m(args.M, 3, "M")
     series = load_cache(args.cache)
     k, q = series.meta.weight_k, series.meta.level_q
     rows = []
@@ -186,6 +186,7 @@ def cmd_least_prime(args) -> int:
         raise ValueError(f"--ceiling must be >= 2, got {args.ceiling}")
     check_constant("--c", args.c)
     interval = parse_interval(args.interval)
+    check_constant("the interval's Sato-Tate measure", mu_st(interval))
     if args.cache is not None:
         source = load_cache(source)
     result = least_prime_in_interval(source, interval, ceiling=args.ceiling, c=args.c)
@@ -200,6 +201,7 @@ def cmd_cheb_sums(args) -> int:
     check_m(m_min)  # both ends, before the range of m is listed
     check_m(args.m)
     xs = parse_x_list(args.x)
+    check_x(xs[0])
     series = load_cache(args.cache)
     rows = [
         {"m": m, "x": x, "sum_plain": plain, "sum_weighted": weighted, "partial_summation_residual": residual}

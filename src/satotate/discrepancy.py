@@ -19,7 +19,9 @@ import numpy as np
 from satotate.angles import AngleSeries, angle_from_ap, curve_meta
 from satotate.curves import CurveSpec, _residues, ec_ap, ec_ap_array, lockstep_rows
 from satotate.errors import DegenerateFit, SatotateError, SearchExceeded
-from satotate.measure import Interval, check_m, cheb_u_rows, cheb_u_table, mu_st, pairwise_sums, st_cdf
+from satotate.measure import (
+    Interval, check_least, check_m, check_x, cheb_u_rows, cheb_u_table, mu_st, pairwise_sums, st_cdf,
+)
 from satotate.primes import PrimeRange, prime_count, prime_divisors, primes_in
 
 
@@ -69,8 +71,7 @@ def erdos_turan_bound(u: np.ndarray, M: int) -> float:
     the exact all-interval discrepancy for every point set and every M >= 1.
     Each S_m is summed node by node (pairwise_sums), bit-identical to np.sum.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    check_least(M, 1, "M")
     n = u.size
     if n == 0:
         raise ValueError("series has no points up to x")
@@ -109,8 +110,7 @@ def cheb_sum_bound(thetas: np.ndarray, M: int, pi_x: int, c_et1: float = DEFAULT
     and reports record whether the candidate dominates the observed error
     rather than asserting it.  Each row is summed node by node (pairwise_sums).
     """
-    if M < 3:
-        raise ValueError("M must be >= 3")
+    check_least(M, 3, "M")
     check_constant("c_et1", c_et1)
 
     def node(start: int, stop: int) -> tuple[np.ndarray]:
@@ -146,8 +146,7 @@ GRID_MAX = 256
 
 def check_grid(grid: int) -> None:
     """Raise ValueError unless 2 <= grid <= GRID_MAX: the one range check of joint's box grid."""
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
+    check_least(grid, 2, "grid")
     if grid > GRID_MAX:
         raise ValueError(f"grid must be <= {GRID_MAX}")
 
@@ -201,8 +200,7 @@ class LeastPrimeResult:
 
 def grh_least_prime_ceiling(k: int, q: int, mu: float, c: float = DEFAULT_GRH_LEAST_PRIME_C) -> int:
     """ceil(c * mu^-4 * log(kq/mu)^2): the GRH-shape ceiling for comparison."""
-    if mu <= 0:
-        raise ValueError("interval must have positive measure")
+    check_constant("the interval's Sato-Tate measure", mu)
     check_constant("c", c)
     bound = c * mu**-4 * math.log(k * q / mu) ** 2
     if not math.isfinite(bound):
@@ -258,11 +256,8 @@ def least_prime_in_interval(
     prime, and Interval.contains on angle_from_ap decides every hit, so the
     answer is the one a scan of every good prime gives.
     """
-    mu = mu_st(interval)
-    if mu <= 0.0:
-        raise ValueError("interval must have positive Sato-Tate measure")
     meta = source.meta if isinstance(source, AngleSeries) else curve_meta(source)
-    bound = grh_least_prime_ceiling(meta.weight_k, meta.level_q, mu, c)
+    bound = grh_least_prime_ceiling(meta.weight_k, meta.level_q, mu_st(interval), c)
 
     if isinstance(source, AngleSeries):
         limit = min(ceiling, source.x_max)
@@ -304,8 +299,7 @@ def theoretical_bound_curve(
     The absolute constants are non-explicit, so c exists for empirical
     calibration only.
     """
-    if x < 3:
-        raise ValueError("x must be >= 3")
+    check_x(x)
     check_constant("c", c)
     lx = math.log(x)
     if variant == "unconditional-st1":
@@ -370,7 +364,7 @@ def discrepancy_report(
     M: int = 50,
     c_et1: float = DEFAULT_ET_CONSTANT,
 ) -> DiscrepancyReport:
-    check_m(M, 1, "M")  # before any column runs; M = 1 or 2 fails in cheb_sum_bound's column
+    check_m(M, 3, "M")  # before any column runs; 3 is the least M of the Chebyshev column
     pi_x = pi_of_x(series, x)
     _, thetas = series.upto(x)  # shared by every column
     count = count_in_interval(thetas, interval)

@@ -139,10 +139,20 @@ def _newton(flat: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_least(value: float, least: int, name: str) -> None:
+    """Raise ValueError unless value >= least: the one lower-bound check of an argument or option."""
+    if not value >= least:  # NaN too
+        raise ValueError(f"{name} must be >= {least}")
+
+
+def check_x(x: float) -> None:
+    """Raise ValueError unless x >= 3, where the paper states its bounds: log log x is positive from x = 3 on."""
+    check_least(x, 3, "x")
+
+
 def check_m(m: int, least: int = 0, name: str = "m") -> None:
     """Raise ValueError unless least <= m <= M_MAX: the one range check of a Chebyshev index or order."""
-    if m < least:
-        raise ValueError(f"{name} must be >= {least}")
+    check_least(m, least, name)
     if m > M_MAX:
         raise ValueError(f"{name} must be <= {M_MAX}")
 
@@ -200,8 +210,7 @@ def cheb_u_table(m_max: int, theta: np.ndarray) -> np.ndarray:
     cheaper and smoother than m separate sine-ratio evaluations, and the
     recurrence is exact at the endpoints.
     """
-    if m_max < 0:
-        raise ValueError("m_max must be >= 0")
+    check_least(m_max, 0, "m_max")
     theta = np.asarray(theta, dtype=float)
     table = np.empty((m_max + 1, theta.size))
     for m, row in enumerate(cheb_u_rows(m_max, theta)):

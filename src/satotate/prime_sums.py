@@ -21,20 +21,19 @@ import numpy as np
 
 from satotate.angles import AngleSeries
 from satotate.errors import RangeExceeded
-from satotate.measure import ChebU, check_m, cheb_u, gauss_legendre_nodes, pairwise_sums
+from satotate.measure import ChebU, check_m, check_x, cheb_u, gauss_legendre_nodes, pairwise_sums
 
 LONGDOUBLE = np.longdouble
 
 
 def theta_fm(series: AngleSeries, m: int, x: int) -> float:
     """theta_{f,m}(x) = sum over good p <= x of U_m(cos theta_p) log p: cheb_prime_sum's weighted sum."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
     return cheb_prime_sum(series, m, x)[1]
 
 
 def cheb_prime_sum(series: AngleSeries, m: int, x: int) -> tuple[float, float]:
     """(plain, weighted): sum of U_m(cos theta_p) and of U_m(cos theta_p) log p."""
+    check_m(m)
     ps, thetas = series.upto(x)
     if ps.size == 0:
         return 0.0, 0.0
@@ -53,8 +52,7 @@ def partial_summation_residual(series: AngleSeries, m: int, x: int) -> float:
 
 def partial_summation_residual_joint(series1: AngleSeries, series2: AngleSeries, m1: int, m2: int, x: int) -> float:
     """Residual of the joint partial-summation identity."""
-    if x < 3:
-        raise ValueError("x must be >= 3")
+    check_x(x)
     return _joint_sums(series1, series2, m1, m2, x)[2]
 
 
@@ -62,25 +60,23 @@ def cheb_sum_rows(series: AngleSeries, ms, x: int) -> list[tuple[int, float, flo
     """(m, sum_plain, sum_weighted, residual) for each m in ms, at one x.
 
     One _sum_rows pass per x: each node builds one ChebU of its slice and
-    yields U_m one m at a time.  x < 3 raises ValueError unless ms is empty.
+    yields U_m one m at a time.  Every m is checked, then x, before the series is read.
     """
     ms = list(ms)
+    for m in ms:
+        check_m(m)
+    check_x(x)
     ps, thetas = series.upto(x)
     if ps.size == 0:
-        rows = [(m, 0.0, 0.0, 0.0) for m in ms]
-        if rows and x < 3:
-            raise ValueError("x must be >= 3")
-        return rows
-    for m in ms:  # the errors of a loop over the rows: each m's range, then x
-        check_m(m)
-        if x < 3:
-            raise ValueError("x must be >= 3")
+        return [(m, 0.0, 0.0, 0.0) for m in ms]
     sums = _sum_rows(ps, x, lambda start, stop: map(ChebU(thetas[start:stop]), ms))
     return [(m, *row) for m, row in zip(ms, sums)]
 
 
 def _joint_sums(series1: AngleSeries, series2: AngleSeries, m1: int, m2: int, x: int) -> tuple:
     """_sum_rows of the one row U_m1(cos theta_p) U_m2(cos theta_p), an angle of each form, at common good p."""
+    check_m(m1)
+    check_m(m2)
     ps, t1, t2 = series1.common_good(series2, x)
     if ps.size == 0:
         return 0.0, 0.0, 0.0
@@ -142,8 +138,7 @@ class SmoothingWeight:
     eps: float
 
     def __post_init__(self) -> None:
-        if self.x < 3:
-            raise ValueError("x must be >= 3")
+        check_x(self.x)
         if not 1 <= self.ell <= _MAX_ELL:
             raise ValueError(f"ell must lie in [1, {_MAX_ELL}], got ell = {self.ell}")
         if not 0.0 < self.eps < 0.25:

@@ -205,6 +205,10 @@ def test_verify_missing_cache(tmp_path):
         ("cheb-sums --cache {c} --m 1 --x ten", "bad x list 'ten'"),
         ("smooth --cache {c} --m 0 --x 100 --ell 15", "ell must lie in [1, 14]"),
         ("smooth --cache {c} --m 513 --x 100", "m must be <= 512"),
+        ("cheb-sums --cache {c} --m 1 --x 2", "x must be >= 3"),
+        ("verify --cache {c} --interval half --x 2", "x must be >= 3"),
+        ("verify --cache {c} --interval half --x 100 --M 2", "M must be >= 3"),
+        ("least-prime --cache {c} --interval 1:1", "the interval's Sato-Tate measure must be finite and positive"),
     ],
 )
 def test_options_are_checked_before_the_cache_is_read(tmp_path, capsys, argv, message):

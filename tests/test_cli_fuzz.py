@@ -8,7 +8,9 @@ Options are passed as ``--opt=value``, so a negative value reaches the
 option's parser instead of being read as another option.  Sizes are
 bounded so that a valid draw stays cheap: x at most 10 x_max; a box grid
 is drawn up to GRID_MAX, whose O(grid^3) sweep is cheap, or above it (which
-must exit 2 before any sweep).
+must exit 2 before any sweep).  A reader of a cache that exits 2 on an
+option exits 2 with the same message when its caches are missing: options
+are checked before any cache is read.
 """
 
 import contextlib
@@ -151,10 +153,32 @@ def run(argv: list[str]) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-def check(argv: list[str]) -> None:
+def check(argv: list[str]) -> tuple[int, str]:
     code, err = run(argv)
     assert code in (0, 2, 3), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
+    return code, err
+
+
+# the refusals that need a cache's data, so that a missing cache comes first
+NEEDS_DATA = (
+    "exceeds series coverage", "need series coverage", "series has no points up to x", "no good prime <=",
+    "GRH-shape ceiling overflows",
+)
+
+
+def check_reader(argv: list[str], missing: str) -> None:
+    """check(argv); a refusal of an option (exit 2) comes the same with every --cache* path missing."""
+    code, err = check(argv)
+    if code == 2 and not any(text in err for text in NEEDS_DATA):
+        blind = [f"{arg.partition('=')[0]}={missing}" if arg.startswith("--cache") else arg for arg in argv]
+        assert run(blind) == (code, err), argv
+
+
+@pytest.fixture(scope="module")
+def missing(tmp_path_factory) -> str:
+    """The path of a cache file that does not exist."""
+    return str(tmp_path_factory.mktemp("missing") / "none.stan")
 
 
 @pytest.fixture(scope="module")
@@ -177,26 +201,31 @@ def test_simulate_fuzz(out_dir, seed, xmax):
 
 @settings(max_examples=30, deadline=None)
 @given(M=ORDERS, xs=x_lists(4), option=st.sampled_from(["--c-et1", "--c-st1", "--c-grh"]), c=CONSTANTS)
-def test_verify_fuzz(caches, M, xs, option, c):
-    check(["verify", f"--cache={caches[0]}", "--interval=middle", f"--x={xs}", f"--M={M}", f"{option}={c}", "--out=-"])
+@example(M="50", xs="2", option="--c-et1", c="1.0")  # x below 3
+@example(M="2", xs="100", option="--c-et1", c="1.0")  # M below the Chebyshev column's 3
+def test_verify_fuzz(caches, missing, M, xs, option, c):
+    argv = ["verify", f"--cache={caches[0]}", "--interval=middle", f"--x={xs}", f"--M={M}", f"{option}={c}", "--out=-"]
+    check_reader(argv, missing)
 
 
 @settings(max_examples=20, deadline=None)
 @given(M=ORDERS, grid=GRIDS, xs=x_lists(2), c=CONSTANTS)
-def test_joint_fuzz(caches, M, grid, xs, c):
-    check(
+def test_joint_fuzz(caches, missing, M, grid, xs, c):
+    check_reader(
         [
             "joint", f"--cache1={caches[0]}", f"--cache2={caches[1]}", "--interval1=half",
             "--interval2=middle", f"--x={xs}", f"--M={M}", f"--grid={grid}", f"--c-et2={c}", "--out=-",
-        ]
+        ],
+        missing,
     )
 
 
 @settings(max_examples=25, deadline=None)
 @given(m=INDICES, m_min=st.none() | INDICES, xs=x_lists(3))
-def test_cheb_sums_fuzz(caches, m, m_min, xs):
+@example(m="1", m_min=None, xs="2")  # x below 3
+def test_cheb_sums_fuzz(caches, missing, m, m_min, xs):
     argv = ["cheb-sums", f"--cache={caches[0]}", f"--m={m}", f"--x={xs}", "--out=-"]
-    check(argv if m_min is None else argv + [f"--m-min={m_min}"])
+    check_reader(argv if m_min is None else argv + [f"--m-min={m_min}"], missing)
 
 
 @settings(max_examples=25, deadline=None)
@@ -208,8 +237,8 @@ def test_cheb_sums_fuzz(caches, m, m_min, xs):
 )
 @example(m="1", x="10000", ell="4", eps="5e-324")  # subnormal eps: the weight's edge width underflows
 @example(m="1", x="10000", ell="4", eps="1e-310")
-def test_smooth_fuzz(caches, m, x, ell, eps):
-    check(["smooth", f"--cache={caches[0]}", f"--m={m}", f"--x={x}", f"--ell={ell}", f"--eps={eps}"])
+def test_smooth_fuzz(caches, missing, m, x, ell, eps):
+    check_reader(["smooth", f"--cache={caches[0]}", f"--m={m}", f"--x={x}", f"--ell={ell}", f"--eps={eps}"], missing)
 
 
 @settings(max_examples=25, deadline=None)
@@ -222,8 +251,10 @@ def test_fit_fuzz(samples):
 
 @settings(max_examples=25, deadline=None)
 @given(interval=INTERVALS, ceiling=mostly(st.integers(2, X_MAX), BAD_INDICES), c=CONSTANTS)
-def test_least_prime_cache_fuzz(caches, interval, ceiling, c):
-    check(["least-prime", f"--cache={caches[0]}", f"--interval={interval}", f"--ceiling={ceiling}", f"--c={c}"])
+@example(interval="1:1", ceiling="1000", c="1.0")  # an interval of measure 0
+def test_least_prime_cache_fuzz(caches, missing, interval, ceiling, c):
+    argv = ["least-prime", f"--cache={caches[0]}", f"--interval={interval}", f"--ceiling={ceiling}", f"--c={c}"]
+    check_reader(argv, missing)
 
 
 @settings(max_examples=25, deadline=None)

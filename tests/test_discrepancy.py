@@ -179,6 +179,11 @@ def test_et_single_point():
     assert bound >= exact_discrepancy_1d(st_cdf(s.upto(2)[1]))
 
 
+def test_et_of_no_points_raises():
+    with pytest.raises(ValueError, match="series has no points up to x"):
+        erdos_turan_bound(np.empty(0), 1)
+
+
 def test_et_equidistributed_grid():
     n = 128
     u = np.arange(1, n + 1) / n

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from satotate.measure import (
     PAIRWISE_LEAF,
     Interval,
+    check_x,
     cheb_inner_product,
     cheb_u,
     cheb_u_table,
@@ -203,3 +204,10 @@ def test_pairwise_sums_equal_np_sum_bit_for_bit(kind):
         for x, unit in cases:
             (got,) = pairwise_sums(n, lambda start, stop: (np.sum(x[start:stop]),), unit)
             assert same_bits(got, np.sum(x)), (kind, n, x.dtype)
+
+
+@pytest.mark.parametrize("x", [2, 2.999, float("nan"), float("-inf")])
+def test_check_x_refuses_x_below_3_and_nan(x):
+    check_x(3)
+    with pytest.raises(ValueError, match=r"^x must be >= 3$"):
+        check_x(x)

@@ -33,6 +33,7 @@ from satotate.prime_sums import (
     cheb_sum_rows,
     partial_summation_residual,
     partial_summation_residual_joint,
+    theta_fm,
     theta_joint,
 )
 
@@ -236,6 +237,28 @@ def test_cheb_sum_rows_errors_match_two_call_pair(pairs):
         cheb_sum_rows(series, [-1, 0], 2)  # as cheb_prime_sum, the m check comes first
     with pytest.raises(RangeExceeded):
         cheb_sum_rows(series, [0], series.x_max + 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s, x: cheb_sum_rows(s, [600], x),
+        lambda s, x: cheb_prime_sum(s, 600, x),
+        lambda s, x: cheb_prime_sum(s, -5, x),
+        lambda s, x: theta_fm(s, 600, x),
+        lambda s, x: theta_joint(s, s, 600, -3, x),
+    ],
+    ids=["cheb_sum_rows", "cheb_prime_sum-600", "cheb_prime_sum-minus-5", "theta_fm", "theta_joint"],
+)
+def test_an_index_out_of_range_raises_on_an_empty_prefix_too(pairs, call):
+    series = pairs[0][1]
+    late = AngleSeries(series.meta, series.x_max, series.primes[5:], series.thetas[5:])  # first prime 13
+    texts = []
+    for x in (12, 19):  # no point, then two
+        with pytest.raises(ValueError) as caught:
+            call(late, x)
+        texts.append(str(caught.value))
+    assert texts[0] == texts[1]
 
 
 # -- the CLI, byte for byte --------------------------------------------------------

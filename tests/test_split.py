@@ -187,11 +187,11 @@ def test_csv_bytes_do_not_depend_on_the_cpu_count(sim_cache, tmp_path, monkeypat
 @pytest.mark.parametrize(
     "command, extra, message",
     [
-        (verify_args, ("--M", "0"), "M must be >= 1"),
+        (verify_args, ("--M", "0"), "M must be >= 3"),
         (verify_args, ("--M", "2"), "M must be >= 3"),
         (verify_args, ("--M", "513"), "M must be <= 512"),
         (joint_args, ("--M", "513"), "M must be <= 512"),
-        (verify_args, ("--x", "0"), "series has no points up to x"),
+        (verify_args, ("--x", "0"), "x must be >= 3"),
         (cheb_sums_args, ("--x", "2"), "x must be >= 3"),
         (cheb_sums_args, ("--m", "600"), "m must be <= 512"),
     ],
